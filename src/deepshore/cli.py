@@ -5,8 +5,9 @@ predict, evaluate, crossval. Exit code 0 on success, 1 on usage errors
 (bad flags, missing files), 2 on data or numeric errors. Every command
 that writes a report or container echoes its resolved configuration and
 seeds so runs can be reproduced. A JSON config file can pre-set any
-flag; explicit flags win over the file. The environment variable
-DEEPSHORE_THREADS caps numeric-library parallelism (0 or unset = auto).
+flag; explicit flags win over the file. Numeric-library parallelism
+follows the BLAS library's own environment variables, such as
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before the process starts.
 """
 
 import argparse
@@ -31,27 +32,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def _apply_thread_cap():
-    raw = os.environ.get("DEEPSHORE_THREADS", "").strip()
-    if not raw:
-        return
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise _UsageError(f"DEEPSHORE_THREADS must be an integer, got {raw!r}")
-    if limit <= 0:
-        return  # 0 = auto
-    try:
-        import threadpoolctl
-    except ImportError:
-        return
-    global _THREAD_LIMITER
-    _THREAD_LIMITER = threadpoolctl.threadpool_limits(limits=limit)
-
-
-_THREAD_LIMITER = None
 
 
 def _timestamp():
@@ -520,7 +500,6 @@ def run_cli(argv):
     """Dispatch a command line; returns the process exit code."""
     parser = build_parser()
     try:
-        _apply_thread_cap()
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_help(sys.stderr)

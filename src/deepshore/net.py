@@ -120,29 +120,67 @@ def build_model(input_dim, output_dim, seed):
     return MlpModel(arch, weights, biases, seed=seed)
 
 
-def elu(x):
-    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+def elu(x, out=None):
+    """Exponential linear unit: x above zero, expm1(x) at or below it.
+
+    Computed as maximum(x, expm1(minimum(x, 0))), which needs no mask
+    because expm1(x) >= x everywhere; it rounds exactly as the masked
+    form. `out` must not be `x` itself.
+    """
+    out = np.minimum(x, 0.0, out=out)
+    np.expm1(out, out=out)
+    return np.maximum(x, out, out=out)
 
 
-def _elu_grad(pre, post):
-    # derivative is 1 above zero and elu(x) + 1 below
-    return np.where(pre > 0, 1.0, post + 1.0)
+class _Workspace:
+    """Per-layer buffers for batches of up to `rows` rows.
+
+    One workspace serves every batch of a `train` call; a shorter batch
+    uses the leading rows. Per hidden layer it holds the pre-activation
+    (reused for the backward delta) and the activation; for the backward
+    pass also the gradient arriving at each activation (`up`) and the
+    parameter gradients.
+    """
+
+    def __init__(self, model, rows, backward=True):
+        hidden = model.architecture.hidden
+        self.pre = [np.empty((rows, width)) for width in hidden]
+        self.act = [np.empty((rows, width)) for width in hidden]
+        self.out = np.empty((rows, model.output_dim))
+        if backward:
+            self.up = [np.empty((rows, width)) for width in hidden]
+            self.delta_out = np.empty((rows, model.output_dim))
+            self.grad_w = [np.empty_like(w) for w in model.weights]
+            self.grad_b = [np.empty_like(b) for b in model.biases]
 
 
-def _forward_trace(model, batch):
+def _layer(h, weight, bias, pre, act=None, skip=None):
+    """pre = h @ weight + bias (+ skip), then act = elu(pre) when given.
+
+    Everything is written into the given buffers, in the same order of
+    operations as the allocating expression, so the rounding is the same.
+    """
+    np.matmul(h, weight, out=pre)
+    pre += bias
+    if skip is not None:
+        pre += skip
+    if act is None:
+        return pre
+    return elu(pre, out=act)
+
+
+def _forward_trace(model, batch, ws=None):
     """Forward pass keeping pre-activations and activations for backprop."""
-    pre = []
-    act = [batch]
-    h = batch
+    n = len(batch)
+    if ws is None:
+        ws = _Workspace(model, n, backward=False)
+    pre = [z[:n] for z in ws.pre]
+    act = [batch] + [a[:n] for a in ws.act]
     for layer in range(5):
-        z = h @ model.weights[layer] + model.biases[layer]
-        if layer + 1 == SKIP_INTO:
-            z = z + act[SKIP_FROM]
-        a = elu(z)
-        pre.append(z)
-        act.append(a)
-        h = a
-    out = h @ model.weights[5] + model.biases[5]
+        skip = act[SKIP_FROM] if layer + 1 == SKIP_INTO else None
+        _layer(act[layer], model.weights[layer], model.biases[layer],
+               pre[layer], act[layer + 1], skip)
+    out = _layer(act[5], model.weights[5], model.biases[5], ws.out[:n])
     return out, pre, act
 
 
@@ -167,31 +205,64 @@ def mse(predictions, targets):
     return float(np.mean(diff * diff))
 
 
-def _gradients(model, batch, targets):
-    """Loss and analytic parameter gradients of the batch MSE."""
-    out, pre, act = _forward_trace(model, batch)
-    diff = out - targets
-    loss = float(np.mean(diff * diff))
+def _gradients(model, batch, targets, ws=None):
+    """Loss and analytic parameter gradients of the batch MSE.
 
-    grad_w = [None] * 6
-    grad_b = [None] * 6
-    delta = 2.0 * diff / diff.size
-    grad_w[5] = act[5].T @ delta
-    grad_b[5] = delta.sum(axis=0)
+    The gradients are the workspace's buffers: the next call with the
+    same workspace overwrites them. Without a workspace, one sized to
+    the batch is built.
+    """
+    n = len(batch)
+    if ws is None:
+        ws = _Workspace(model, n)
+    out, pre, act = _forward_trace(model, batch, ws)
+    up = [u[:n] for u in ws.up]
+    grad_w, grad_b = ws.grad_w, ws.grad_b
 
-    upstream = delta @ model.weights[5].T
-    skip_delta = None
+    diff = np.subtract(out, targets, out=out)
+    delta = np.multiply(diff, 2.0, out=ws.delta_out[:n])
+    delta /= diff.size
+    loss = float(np.mean(np.multiply(diff, diff, out=diff)))
+    np.matmul(act[5].T, delta, out=grad_w[5])
+    np.sum(delta, axis=0, out=grad_b[5])
+    np.matmul(delta, model.weights[5].T, out=up[4])
+
     for layer in range(4, -1, -1):
-        delta = upstream * _elu_grad(pre[layer], act[layer + 1])
-        if layer + 1 == SKIP_INTO:
-            skip_delta = delta
-        grad_w[layer] = act[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
-        upstream = delta @ model.weights[layer].T
-        if layer + 1 == SKIP_FROM + 1 and skip_delta is not None:
-            # the skip feeds act[SKIP_FROM] straight into pre-activation 4
-            upstream = upstream + skip_delta
+        # elu'(z) is 1 above zero and elu(z) + 1 below, i.e. min(elu(z), 0) + 1;
+        # z is no longer needed, so its buffer takes the delta
+        delta = np.minimum(act[layer + 1], 0.0, out=pre[layer])
+        delta += 1.0
+        delta *= up[layer]
+        np.matmul(act[layer].T, delta, out=grad_w[layer])
+        np.sum(delta, axis=0, out=grad_b[layer])
+        if layer == 0:
+            break
+        np.matmul(delta, model.weights[layer].T, out=up[layer - 1])
+        if layer == SKIP_FROM:
+            # the skip feeds act[SKIP_FROM] straight into pre-activation SKIP_INTO
+            up[layer - 1] += pre[SKIP_INTO - 1]
     return loss, grad_w, grad_b
+
+
+def _rmsprop_update(param, grad, square_avg, step, cfg, scratch):
+    """One in-place RMSProp step with momentum; `scratch` has param's shape.
+
+    Rounds exactly as the allocating form
+        square_avg = decay * square_avg + (1 - decay) * grad ** 2
+        step = momentum * step + grad / (sqrt(square_avg) + stabilizer)
+        param -= learning_rate * step
+    """
+    square_avg *= cfg.decay
+    np.multiply(grad, grad, out=scratch)
+    scratch *= 1 - cfg.decay
+    square_avg += scratch
+    np.sqrt(square_avg, out=scratch)
+    scratch += cfg.stabilizer
+    np.divide(grad, scratch, out=scratch)
+    step *= cfg.momentum
+    step += scratch
+    np.multiply(step, cfg.learning_rate, out=scratch)
+    param -= scratch
 
 
 class VoxelDataset:
@@ -230,7 +301,8 @@ def train(model, data, cfg, validation=None):
     cfg) reproduce identical histories. When `validation` is given as an
     (inputs, targets) pair and cfg.early_stop is set, training stops
     after cfg.patience epochs without validation improvement and the
-    best-validation weights are restored.
+    best-validation weights are restored; without cfg.early_stop the
+    validation pair is not used.
     """
     if not isinstance(data, VoxelDataset):
         raise InvalidArgumentError("data must be a VoxelDataset")
@@ -241,12 +313,17 @@ def train(model, data, cfg, validation=None):
         )
 
     model = model.copy()
-    square_avg_w = [np.zeros_like(w) for w in model.weights]
-    square_avg_b = [np.zeros_like(b) for b in model.biases]
-    step_w = [np.zeros_like(w) for w in model.weights]
-    step_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases
+    square_avg = [np.zeros_like(p) for p in params]
+    step = [np.zeros_like(p) for p in params]
+    scratch = np.empty(max(p.size for p in params))
+    scratches = [scratch[:p.size].reshape(p.shape) for p in params]
     rng = np.random.default_rng(cfg.seed)
     n_rows = len(data)
+    rows_max = min(cfg.batch_size, n_rows)
+    ws = _Workspace(model, rows_max)
+    inputs = np.empty((rows_max, model.input_dim))
+    targets = np.empty((rows_max, model.output_dim))
     history = []
 
     best_val = np.inf
@@ -258,37 +335,32 @@ def train(model, data, cfg, validation=None):
         epoch_sse = 0.0
         for start in range(0, n_rows, cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
-            loss, grad_w, grad_b = _gradients(
-                model, data.inputs[rows], data.targets[rows]
-            )
+            # rows come from a permutation, so "clip" never clips; the
+            # default "raise" mode would copy through a temporary
+            batch = np.take(data.inputs, rows, axis=0, out=inputs[:rows.size], mode="clip")
+            batch_targets = np.take(data.targets, rows, axis=0,
+                                    out=targets[:rows.size], mode="clip")
+            loss, grad_w, grad_b = _gradients(model, batch, batch_targets, ws)
             epoch_sse += loss * rows.size
-            for i in range(6):
-                square_avg_w[i] = cfg.decay * square_avg_w[i] + (1 - cfg.decay) * grad_w[i] ** 2
-                square_avg_b[i] = cfg.decay * square_avg_b[i] + (1 - cfg.decay) * grad_b[i] ** 2
-                step_w[i] = cfg.momentum * step_w[i] + grad_w[i] / (
-                    np.sqrt(square_avg_w[i]) + cfg.stabilizer
-                )
-                step_b[i] = cfg.momentum * step_b[i] + grad_b[i] / (
-                    np.sqrt(square_avg_b[i]) + cfg.stabilizer
-                )
-                model.weights[i] -= cfg.learning_rate * step_w[i]
-                model.biases[i] -= cfg.learning_rate * step_b[i]
+            grads = grad_w + grad_b
+            for param, grad, avg, stp, tmp in zip(params, grads, square_avg, step, scratches):
+                _rmsprop_update(param, grad, avg, stp, cfg, tmp)
         history.append(epoch_sse / n_rows)
 
-        if validation is not None:
+        # only early stopping reads the validation loss
+        if validation is not None and cfg.early_stop:
             val_inputs, val_targets = validation
             val_loss = mse(forward(model, val_inputs), val_targets)
             if val_loss < best_val:
                 best_val = val_loss
                 stale = 0
-                if cfg.early_stop:
-                    best_state = ([w.copy() for w in model.weights],
-                                  [b.copy() for b in model.biases])
+                best_state = ([w.copy() for w in model.weights],
+                              [b.copy() for b in model.biases])
             else:
                 stale += 1
-                if cfg.early_stop and stale >= cfg.patience:
+                if stale >= cfg.patience:
                     break
-    if cfg.early_stop and best_state is not None:
+    if best_state is not None:
         model.weights, model.biases = best_state
     return model, np.array(history)
 

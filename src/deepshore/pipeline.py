@@ -11,6 +11,7 @@ exponentiated out of log space, refit as spherical harmonics and scored
 with the angular correlation coefficient against the ground truth.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,10 +119,17 @@ class EvalReport:
 
 
 def fod_directions(cfg):
-    """The fixed sphere used for every FOD sampling and prediction step."""
-    return generate_uniform_directions(
-        cfg.n_fod_directions, cfg.direction_seed, cfg.direction_iterations
-    )
+    """The fixed sphere used for every FOD sampling and prediction step.
+
+    Generated once per process for each (count, seed, iterations) and
+    then shared, which is safe because a DirectionSet is read-only.
+    """
+    return _direction_set(cfg.n_fod_directions, cfg.direction_seed, cfg.direction_iterations)
+
+
+@functools.cache
+def _direction_set(n, seed, iterations):
+    return generate_uniform_directions(n, seed, iterations)
 
 
 def shell_mask(samples, shells=None, withhold_b=None, tolerance=0.5):

@@ -13,7 +13,83 @@ from deepshore import (
     predict,
     train,
 )
-from deepshore.net import HIDDEN_WIDTHS, _forward_trace, elu
+from deepshore import net
+from deepshore.net import HIDDEN_WIDTHS, SKIP_FROM, SKIP_INTO, _forward_trace, elu
+
+
+def reference_elu(x):
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def reference_elu_grad(pre, post):
+    return np.where(pre > 0, 1.0, post + 1.0)
+
+
+def reference_forward_trace(weights, biases, batch):
+    """The allocating forward pass: a fresh array for every intermediate."""
+    pre = []
+    act = [batch]
+    h = batch
+    for layer in range(5):
+        z = h @ weights[layer] + biases[layer]
+        if layer + 1 == SKIP_INTO:
+            z = z + act[SKIP_FROM]
+        h = reference_elu(z)
+        pre.append(z)
+        act.append(h)
+    return h @ weights[5] + biases[5], pre, act
+
+
+def reference_gradients(weights, biases, batch, targets):
+    out, pre, act = reference_forward_trace(weights, biases, batch)
+    diff = out - targets
+    loss = float(np.mean(diff * diff))
+    grad_w = [None] * 6
+    grad_b = [None] * 6
+    delta = 2.0 * diff / diff.size
+    grad_w[5] = act[5].T @ delta
+    grad_b[5] = delta.sum(axis=0)
+    upstream = delta @ weights[5].T
+    skip_delta = None
+    for layer in range(4, -1, -1):
+        delta = upstream * reference_elu_grad(pre[layer], act[layer + 1])
+        if layer + 1 == SKIP_INTO:
+            skip_delta = delta
+        grad_w[layer] = act[layer].T @ delta
+        grad_b[layer] = delta.sum(axis=0)
+        upstream = delta @ weights[layer].T
+        if layer == SKIP_FROM:
+            upstream = upstream + skip_delta
+    return loss, grad_w, grad_b
+
+
+def reference_train(model, data, cfg):
+    """Mini-batch RMSProp with out-of-place updates, no early stopping."""
+    params = [w.copy() for w in model.weights] + [b.copy() for b in model.biases]
+    square_avg = [np.zeros_like(p) for p in params]
+    step = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(cfg.seed)
+    n_rows = len(data)
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n_rows)
+        epoch_sse = 0.0
+        for start in range(0, n_rows, cfg.batch_size):
+            rows = order[start:start + cfg.batch_size]
+            loss, grad_w, grad_b = reference_gradients(
+                params[:6], params[6:], data.inputs[rows], data.targets[rows])
+            epoch_sse += loss * rows.size
+            for i, grad in enumerate(grad_w + grad_b):
+                square_avg[i] = cfg.decay * square_avg[i] + (1 - cfg.decay) * grad ** 2
+                step[i] = cfg.momentum * step[i] + grad / (np.sqrt(square_avg[i]) + cfg.stabilizer)
+                params[i] = params[i] - cfg.learning_rate * step[i]
+        history.append(epoch_sse / n_rows)
+    return params, np.array(history)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def expected_parameter_count(input_dim, output_dim):
@@ -83,6 +159,21 @@ class TestForward:
         x, _ = small_batch(3, 5, 50, 45)
         _, _, act = _forward_trace(model, x)
         assert np.array_equal(act[4], elu(act[2]))
+
+    def test_elu_edge_values_match_masked_form_bitwise(self):
+        edges = [-0.0, 0.0, 5e-324, -5e-324, -1e-300, -800.0, 800.0,
+                 np.inf, -np.inf, np.nan, -1.5, 1.5]
+        # long enough for vectorized loops plus a scalar remainder, and alone
+        x = np.array(edges * 7)
+        assert same_bits(elu(x), reference_elu(x))
+        for value in edges:
+            assert same_bits(elu(np.array([value])), reference_elu(np.array([value])))
+
+    def test_elu_out_argument(self):
+        x = np.linspace(-3.0, 3.0, 13).reshape(1, 13)
+        out = np.empty_like(x)
+        assert elu(x, out=out) is out
+        assert same_bits(out, reference_elu(x))
 
     def test_predict_equals_forward(self):
         model = build_model(50, 45, seed=4)
@@ -168,6 +259,51 @@ class TestTrain:
         data = VoxelDataset(x, y, np.arange(10))
         with pytest.raises(InvalidArgumentError):
             train(build_model(11, 8, seed=0), data, TrainConfig(epochs=1))
+
+    def test_bitwise_equal_to_allocating_reference(self):
+        # 70 rows in batches of 32 leave a 6-row last batch; momentum is on
+        # and the skip weights are random, so every path carries signal
+        x, y = small_batch(28, 70, 12, 7)
+        data = VoxelDataset(x, y, np.arange(70))
+        model = build_model(12, 7, seed=6)
+        cfg = TrainConfig(epochs=6, batch_size=32, seed=3, momentum=0.9,
+                          learning_rate=3e-3, stabilizer=1e-6)
+        trained, history = train(model, data, cfg)
+        ref_params, ref_history = reference_train(model, data, cfg)
+        assert same_bits(history, ref_history)
+        for got, want in zip(trained.weights + trained.biases, ref_params):
+            assert same_bits(got, want)
+        ref_out, _, _ = reference_forward_trace(ref_params[:6], ref_params[6:], x)
+        assert same_bits(forward(trained, x), ref_out)
+
+    def test_gradients_bitwise_equal_to_allocating_reference(self):
+        x, y = small_batch(29, 9, 12, 7)
+        model = build_model(12, 7, seed=8)
+        loss, grad_w, grad_b = net._gradients(model, x, y)
+        ref_loss, ref_w, ref_b = reference_gradients(model.weights, model.biases, x, y)
+        assert loss == ref_loss
+        for got, want in zip(grad_w + grad_b, ref_w + ref_b):
+            assert same_bits(got, want)
+
+    def test_validation_unused_without_early_stop(self, monkeypatch):
+        x, y = small_batch(27, 50, 10, 8)
+        data = VoxelDataset(x[:40], y[:40], np.arange(40))
+        cfg = TrainConfig(epochs=5, batch_size=16, seed=2)
+        plain, plain_history = train(build_model(10, 8, seed=1), data, cfg)
+        calls = []
+        real_forward = net.forward
+
+        def counting_forward(*args):
+            calls.append(args)
+            return real_forward(*args)
+
+        monkeypatch.setattr(net, "forward", counting_forward)
+        checked, checked_history = train(build_model(10, 8, seed=1), data, cfg,
+                                         validation=(x[40:], y[40:]))
+        assert calls == []
+        assert same_bits(checked_history, plain_history)
+        for got, want in zip(checked.weights + checked.biases, plain.weights + plain.biases):
+            assert same_bits(got, want)
 
     def test_early_stop_restores_best_validation_weights(self):
         x, y = small_batch(26, 80, 10, 8)

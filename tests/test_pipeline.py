@@ -8,6 +8,7 @@ from deepshore import (
     compare_subcases,
     run_subcase_experiment,
 )
+from deepshore import pipeline
 from deepshore.phantom import PhantomConfig, generate_dataset
 from deepshore.pipeline import SUBCASES, _Standardizer, shell_mask
 
@@ -129,6 +130,20 @@ class TestCompare:
         assert 0.0 <= row["p"] <= 1.0
         assert row["p_bonferroni"] == pytest.approx(min(1.0, row["p"]))
         assert np.array_equal(reports[0].row_index, reports[1].row_index)
+
+    def test_direction_set_generated_once_for_two_subcases(self, tiny_dataset, monkeypatch):
+        calls = []
+        real = pipeline.generate_uniform_directions
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "generate_uniform_directions", counting)
+        pipeline._direction_set.cache_clear()
+        compare_subcases(tiny_dataset, [tiny_config("opt-shore-to-shore"),
+                                        tiny_config("unopt-shore-to-shore")])
+        assert calls == [(100, 11, 100)]
 
     def test_empty_config_list_rejected(self, tiny_dataset):
         with pytest.raises(InvalidArgumentError):
