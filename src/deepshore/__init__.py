@@ -29,7 +29,6 @@ from .net import (
     forward,
     gradient_check,
     kfold_split,
-    predict,
     train,
 )
 from .nonneg import NonNegConfig, clamp_log, exp_restore

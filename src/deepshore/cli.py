@@ -11,6 +11,7 @@ OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before the process starts.
 """
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -72,6 +73,26 @@ def _resolve(args, file_cfg, key, default):
     return default
 
 
+def _from_flags(cls, args, file_cfg, flags=None, **values):
+    """A `cls` config with the given `values`, and each other field named
+    in `flags` (field name -> flag name) taken from its flag, else from
+    the config file. `flags` defaults to every field, each under its own
+    name with dashes for underscores.
+
+    A field set by none of these keeps its dataclass default: defaults
+    are written down only there. A value read for a flag is cast to the
+    type of the field's default.
+    """
+    default = cls()
+    if flags is None:
+        flags = {f.name: f.name.replace("_", "-") for f in dataclasses.fields(cls)}
+    for name, flag in flags.items():
+        value = _resolve(args, file_cfg, flag, None)
+        if name not in values and value is not None:
+            values[name] = type(getattr(default, name))(value)
+    return dataclasses.replace(default, **values)
+
+
 def _require_input(path):
     if not os.path.exists(path):
         raise _UsageError(f"input file not found: {path}")
@@ -89,11 +110,19 @@ def _add_common_shore_flags(parser):
 
 
 def _shore_config(args, file_cfg):
-    return shore.ShoreFitConfig(
-        radial_order=int(_resolve(args, file_cfg, "radial-order", 6)),
-        lambda_n=float(_resolve(args, file_cfg, "lambda-n", 1e-8)),
-        lambda_l=float(_resolve(args, file_cfg, "lambda-l", 1e-8)),
-    )
+    return _from_flags(shore.ShoreFitConfig, args, file_cfg)
+
+
+def _nonneg_config(args, file_cfg):
+    return _from_flags(NonNegConfig, args, file_cfg, {"epsilon": "nonneg-epsilon"})
+
+
+def _train_config(args, file_cfg):
+    return _from_flags(net.TrainConfig, args, file_cfg)
+
+
+def _log_domain(args, file_cfg):
+    return bool(_resolve(args, file_cfg, "log", False))
 
 
 def build_parser():
@@ -109,7 +138,7 @@ def build_parser():
     p.add_argument("--shells", type=str, default=None)
     p.add_argument("--dirs-per-shell", type=int, default=None)
     p.add_argument("--snr", type=float, default=None)
-    p.add_argument("--noiseless", action="store_true")
+    p.add_argument("--noiseless", action="store_true", default=None)
     p.add_argument("--kappa", type=float, default=None)
     p.add_argument("--max-fibers", type=int, default=None)
     p.add_argument("--out", type=str, required=True)
@@ -117,10 +146,10 @@ def build_parser():
     p = sub.add_parser("fit-shore", help="fit signal coefficients")
     p.add_argument("--in", dest="infile", type=str, required=True)
     p.add_argument("--zeta", type=float, default=None)
-    p.add_argument("--optimize", action="store_true",
+    p.add_argument("--optimize", action="store_true", default=None,
                    help="optimize the scale on the input data first")
     p.add_argument("--zeta0", type=float, default=None)
-    p.add_argument("--log", action="store_true",
+    p.add_argument("--log", action="store_true", default=None,
                    help="clamp-log the signals before fitting")
     p.add_argument("--nonneg-epsilon", type=float, default=None)
     _add_common_shore_flags(p)
@@ -129,7 +158,7 @@ def build_parser():
     p = sub.add_parser("optimize-zeta", help="data-optimize the scale parameter")
     p.add_argument("--in", dest="infile", type=str, required=True)
     p.add_argument("--zeta0", type=float, default=None)
-    p.add_argument("--log", action="store_true")
+    p.add_argument("--log", action="store_true", default=None)
     p.add_argument("--nonneg-epsilon", type=float, default=None)
     p.add_argument("--subsample", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -142,7 +171,7 @@ def build_parser():
     p.add_argument("--fod-b", type=float, default=None)
     p.add_argument("--dirs-seed", type=int, default=None)
     p.add_argument("--n-dirs", type=int, default=None)
-    p.add_argument("--log", action="store_true")
+    p.add_argument("--log", action="store_true", default=None)
     p.add_argument("--nonneg-epsilon", type=float, default=None)
     _add_common_shore_flags(p)
     p.add_argument("--out", type=str, required=True)
@@ -184,7 +213,7 @@ def build_parser():
     p.add_argument("--momentum", type=float, default=None)
     p.add_argument("--stabilizer", type=float, default=None)
     p.add_argument("--decay", type=float, default=None)
-    p.add_argument("--early-stop", action="store_true")
+    p.add_argument("--early-stop", action="store_true", default=None)
     p.add_argument("--patience", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--nonneg-epsilon", type=float, default=None)
@@ -193,7 +222,7 @@ def build_parser():
     p.add_argument("--dirs-seed", type=int, default=None)
     p.add_argument("--fod-b", type=float, default=None)
     p.add_argument("--sh-order", type=int, default=None)
-    p.add_argument("--flat", action="store_true",
+    p.add_argument("--flat", action="store_true", default=None,
                    help="train on all training rows, no inner validation fold")
     _add_common_shore_flags(p)
     p.add_argument("--report", type=str, default=None)
@@ -203,20 +232,17 @@ def build_parser():
 
 
 def _cmd_phantom(args, file_cfg):
-    snr = _resolve(args, file_cfg, "snr", 30.0)
-    if args.noiseless or file_cfg.get("noiseless"):
-        snr = float("inf")
-    cfg = phantom.PhantomConfig(
-        shell_bvalues=_parse_shells(_resolve(args, file_cfg, "shells", None))
-        or (3000.0, 6000.0, 9000.0, 12000.0),
-        directions_per_shell=int(_resolve(args, file_cfg, "dirs-per-shell", 25)),
-        kappa_watson=float(_resolve(args, file_cfg, "kappa", 20.0)),
-        snr=float(snr),
-        n_voxels=int(_resolve(args, file_cfg, "voxels", 10)),
-        rotations_per_voxel=int(_resolve(args, file_cfg, "rotations", 100)),
-        max_fibers=int(_resolve(args, file_cfg, "max-fibers", 3)),
-        seed=int(_resolve(args, file_cfg, "seed", 0)),
-    )
+    fixed = {}
+    shells = _parse_shells(_resolve(args, file_cfg, "shells", None))
+    if shells:
+        fixed["shell_bvalues"] = shells
+    if _resolve(args, file_cfg, "noiseless", False):
+        fixed["snr"] = float("inf")
+    cfg = _from_flags(phantom.PhantomConfig, args, file_cfg, {
+        "directions_per_shell": "dirs-per-shell", "kappa_watson": "kappa", "snr": "snr",
+        "n_voxels": "voxels", "rotations_per_voxel": "rotations", "max_fibers": "max-fibers",
+        "seed": "seed",
+    }, **fixed)
     dataset = phantom.generate_dataset(cfg)
     io.write_dataset(args.out, dataset)
     base = args.out.rsplit(".", 1)[0]
@@ -225,37 +251,40 @@ def _cmd_phantom(args, file_cfg):
     return 0
 
 
-def _masked(dataset, args, file_cfg):
+def _signal_inputs(args, file_cfg):
+    """The dataset, its shell-masked scheme and signals (clamp-logged with --log)."""
+    dataset = io.read_dataset(_require_input(args.infile))
     mask = pipeline.shell_mask(
         dataset.samples,
         _parse_shells(_resolve(args, file_cfg, "shells", None)),
         _resolve(args, file_cfg, "withhold-b", None),
     )
-    return dataset.samples.subset(mask), dataset.signals[:, mask]
+    signals = dataset.signals[:, mask]
+    if _log_domain(args, file_cfg):
+        signals = clamp_log(signals, _nonneg_config(args, file_cfg))
+    return dataset, dataset.samples.subset(mask), signals
+
+
+def _zeta0(args, file_cfg, samples):
+    zeta0 = _resolve(args, file_cfg, "zeta0", None)
+    return float(zeta0) if zeta0 is not None else shore.default_zeta0(samples)
 
 
 def _cmd_fit_shore(args, file_cfg):
-    dataset = io.read_dataset(_require_input(args.infile))
+    dataset, samples, signals = _signal_inputs(args, file_cfg)
     cfg = _shore_config(args, file_cfg)
-    samples, signals = _masked(dataset, args, file_cfg)
-    if args.log or file_cfg.get("log"):
-        eps = float(_resolve(args, file_cfg, "nonneg-epsilon", 0.005))
-        signals = clamp_log(signals, NonNegConfig(eps))
-    zeta = args.zeta if args.zeta is not None else file_cfg.get("zeta")
+    zeta = _resolve(args, file_cfg, "zeta", None)
+    # an explicit scale wins over "optimize" in the config file
     if args.optimize or (zeta is None and file_cfg.get("optimize")):
-        zeta0 = _resolve(args, file_cfg, "zeta0", None)
-        zeta0 = float(zeta0) if zeta0 is not None else shore.default_zeta0(samples)
-        zeta = shore.optimize_zeta(signals, samples, cfg, zeta0)
+        zeta = shore.optimize_zeta(signals, samples, cfg, _zeta0(args, file_cfg, samples))
     if zeta is None:
         raise _UsageError("fit-shore needs --zeta or --optimize")
     coeffs = shore.fit_shore_many(signals, samples, cfg, float(zeta))
     io.write_coeffs(args.out, coeffs, {
         "representation": "shore",
-        "radial_order": cfg.radial_order,
+        **dataclasses.asdict(cfg),
         "zeta": float(zeta),
-        "lambda_n": cfg.lambda_n,
-        "lambda_l": cfg.lambda_l,
-        "log_domain": bool(args.log or file_cfg.get("log")),
+        "log_domain": _log_domain(args, file_cfg),
         "shells": [float(s) for s in samples.shells()],
         "source": args.infile,
         "block_ids": dataset.block_ids,
@@ -265,14 +294,9 @@ def _cmd_fit_shore(args, file_cfg):
 
 
 def _cmd_optimize_zeta(args, file_cfg):
-    dataset = io.read_dataset(_require_input(args.infile))
+    _, samples, signals = _signal_inputs(args, file_cfg)
     cfg = _shore_config(args, file_cfg)
-    samples, signals = _masked(dataset, args, file_cfg)
-    if args.log or file_cfg.get("log"):
-        eps = float(_resolve(args, file_cfg, "nonneg-epsilon", 0.005))
-        signals = clamp_log(signals, NonNegConfig(eps))
-    zeta0 = _resolve(args, file_cfg, "zeta0", None)
-    zeta0 = float(zeta0) if zeta0 is not None else shore.default_zeta0(samples)
+    zeta0 = _zeta0(args, file_cfg, samples)
     zeta = shore.optimize_zeta(
         signals, samples, cfg, zeta0,
         subsample=_resolve(args, file_cfg, "subsample", None),
@@ -287,10 +311,8 @@ def _cmd_optimize_zeta(args, file_cfg):
             "zeta0": zeta0,
             "zeta": zeta,
             "shells": [float(s) for s in samples.shells()],
-            "radial_order": cfg.radial_order,
-            "lambda_n": cfg.lambda_n,
-            "lambda_l": cfg.lambda_l,
-            "log_domain": bool(args.log or file_cfg.get("log")),
+            **dataclasses.asdict(cfg),
+            "log_domain": _log_domain(args, file_cfg),
             "source": args.infile,
         })
     return 0
@@ -299,16 +321,15 @@ def _cmd_optimize_zeta(args, file_cfg):
 def _cmd_fod_to_shore(args, file_cfg):
     dataset = io.read_dataset(_require_input(args.infile))
     cfg = _shore_config(args, file_cfg)
-    dirs = pipeline.fod_directions(pipeline.PipelineConfig(
-        direction_seed=int(_resolve(args, file_cfg, "dirs-seed", 11)),
-        n_fod_directions=int(_resolve(args, file_cfg, "n-dirs", 100)),
-    ))
-    bvalue = float(_resolve(args, file_cfg, "fod-b", 2000.0))
+    fod_cfg = _from_flags(pipeline.PipelineConfig, args, file_cfg, {
+        "direction_seed": "dirs-seed", "n_fod_directions": "n-dirs", "fod_bvalue": "fod-b",
+    })
+    dirs = pipeline.fod_directions(fod_cfg)
+    bvalue = fod_cfg.fod_bvalue
     values = dataset.fod_coeffs @ sh.eval_sh_basis(dirs, dataset.sh_order).T
-    log_domain = bool(args.log or file_cfg.get("log"))
+    log_domain = _log_domain(args, file_cfg)
     if log_domain:
-        eps = float(_resolve(args, file_cfg, "nonneg-epsilon", 0.005))
-        values = clamp_log(values, NonNegConfig(eps))
+        values = clamp_log(values, _nonneg_config(args, file_cfg))
     scheme = shore.QSpaceSamples(np.full(len(dirs), bvalue), dirs)
     coeffs = shore.fit_shore_many(values, scheme, cfg, args.zeta)
     io.write_coeffs(args.out, coeffs, {
@@ -317,7 +338,7 @@ def _cmd_fod_to_shore(args, file_cfg):
         "zeta": float(args.zeta),
         "fod_bvalue": bvalue,
         "log_domain": log_domain,
-        "dirs_seed": int(_resolve(args, file_cfg, "dirs-seed", 11)),
+        "dirs_seed": fod_cfg.direction_seed,
         "n_dirs": len(dirs),
         "source": args.infile,
         "block_ids": dataset.block_ids,
@@ -336,15 +357,7 @@ def _cmd_train(args, file_cfg):
     block_ids = in_meta.get("block_ids")
     if block_ids is None:
         block_ids = np.arange(inputs.shape[0])
-    cfg = net.TrainConfig(
-        epochs=int(_resolve(args, file_cfg, "epochs", 200)),
-        batch_size=int(_resolve(args, file_cfg, "batch-size", 1000)),
-        learning_rate=float(_resolve(args, file_cfg, "learning-rate", 1e-3)),
-        momentum=float(_resolve(args, file_cfg, "momentum", 0.0)),
-        stabilizer=float(_resolve(args, file_cfg, "stabilizer", 1e-8)),
-        decay=float(_resolve(args, file_cfg, "decay", 0.9)),
-        seed=int(_resolve(args, file_cfg, "seed", 0)),
-    )
+    cfg = _train_config(args, file_cfg)
     model = net.build_model(inputs.shape[1], targets.shape[1], seed=cfg.seed)
     trained, history = net.train(model, net.VoxelDataset(inputs, targets, block_ids), cfg)
     io.write_model(args.out, trained)
@@ -370,7 +383,7 @@ def _cmd_train(args, file_cfg):
 def _cmd_predict(args, file_cfg):
     model = io.read_model(_require_input(args.model))
     inputs, in_meta = io.read_coeffs(_require_input(args.inputs))
-    outputs = net.predict(model, inputs)
+    outputs = net.forward(model, inputs)
     meta = {
         "representation": "prediction",
         "model": args.model,
@@ -393,7 +406,7 @@ def _cmd_evaluate(args, file_cfg):
         order = dataset.sh_order
     else:
         truth, truth_meta = io.read_coeffs(truth_path)
-        order = int(truth_meta.get("sh_order", 8))
+        order = int(truth_meta.get("sh_order", pipeline.PipelineConfig().sh_order))
     if pred.shape != truth.shape:
         raise InvalidArgumentError(
             f"prediction shape {pred.shape} does not match truth {truth.shape}"
@@ -421,41 +434,25 @@ def _cmd_evaluate(args, file_cfg):
 
 def _cmd_crossval(args, file_cfg):
     dataset = io.read_dataset(_require_input(args.infile))
-    subcases = args.subcase or file_cfg.get("subcase") or ["opt-shore-to-shore"]
+    subcases = _resolve(args, file_cfg, "subcase", None) or [pipeline.PipelineConfig().subcase]
     if isinstance(subcases, str):
         subcases = [subcases]
-    train_cfg = net.TrainConfig(
-        epochs=int(_resolve(args, file_cfg, "epochs", 200)),
-        batch_size=int(_resolve(args, file_cfg, "batch-size", 1000)),
-        learning_rate=float(_resolve(args, file_cfg, "learning-rate", 1e-3)),
-        momentum=float(_resolve(args, file_cfg, "momentum", 0.0)),
-        stabilizer=float(_resolve(args, file_cfg, "stabilizer", 1e-8)),
-        decay=float(_resolve(args, file_cfg, "decay", 0.9)),
-        early_stop=bool(args.early_stop or file_cfg.get("early-stop", False)),
-        patience=int(_resolve(args, file_cfg, "patience", 50)),
-        seed=int(_resolve(args, file_cfg, "seed", 0)),
-        k_folds=int(_resolve(args, file_cfg, "k-folds", 5)),
-    )
     zeta0 = _resolve(args, file_cfg, "zeta0", None)
-    configs = [
-        pipeline.PipelineConfig(
-            subcase=name,
-            shells=_parse_shells(_resolve(args, file_cfg, "shells", None)),
-            withhold_b=_resolve(args, file_cfg, "withhold-b", None),
-            shore=_shore_config(args, file_cfg),
-            nonneg=NonNegConfig(float(_resolve(args, file_cfg, "nonneg-epsilon", 0.005))),
-            train=train_cfg,
-            direction_seed=int(_resolve(args, file_cfg, "dirs-seed", 11)),
-            sh_order=int(_resolve(args, file_cfg, "sh-order", 8)),
-            fod_bvalue=float(_resolve(args, file_cfg, "fod-b", 2000.0)),
-            eval_folds=int(_resolve(args, file_cfg, "eval-folds", 8)),
-            max_folds=_resolve(args, file_cfg, "max-folds", None),
-            nested=not (args.flat or file_cfg.get("flat", False)),
-            zeta0=float(zeta0) if zeta0 is not None else None,
-            zeta_subsample=_resolve(args, file_cfg, "zeta-subsample", None),
-        )
-        for name in subcases
-    ]
+    flags = {"direction_seed": "dirs-seed", "sh_order": "sh-order", "fod_bvalue": "fod-b",
+             "eval_folds": "eval-folds"}
+    base = _from_flags(
+        pipeline.PipelineConfig, args, file_cfg, flags,
+        shells=_parse_shells(_resolve(args, file_cfg, "shells", None)),
+        withhold_b=_resolve(args, file_cfg, "withhold-b", None),
+        shore=_shore_config(args, file_cfg),
+        nonneg=_nonneg_config(args, file_cfg),
+        train=_train_config(args, file_cfg),
+        max_folds=_resolve(args, file_cfg, "max-folds", None),
+        nested=not _resolve(args, file_cfg, "flat", False),
+        zeta0=float(zeta0) if zeta0 is not None else None,
+        zeta_subsample=_resolve(args, file_cfg, "zeta-subsample", None),
+    )
+    configs = [dataclasses.replace(base, subcase=name) for name in subcases]
     reports, comparisons = pipeline.compare_subcases(dataset, configs)
     for report in reports:
         print(f"{report.subcase}: median ACC {report.median:.4f}, mean {report.mean:.4f} "

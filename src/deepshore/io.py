@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContainerFormatError, InvalidArgumentError
-from .net import MlpArchitecture, MlpModel
+from .net import HIDDEN_WIDTHS, MlpArchitecture, MlpModel
 from .phantom import PhantomDataset
 from .shore import QSpaceSamples
 from .sphere import DirectionSet
@@ -102,6 +102,18 @@ def read_container(path):
     return Container(kind=kind, metadata=header.get("meta", {}), segments=segments)
 
 
+def _block_id_segment(block_ids, path):
+    """Block ids as a payload segment; rejects ids that float32 cannot hold exactly."""
+    ids = np.asarray(block_ids)
+    bad = ids.astype("<f4") != ids
+    if bad.any():
+        raise InvalidArgumentError(
+            f"block id {ids[bad][0]} does not round-trip through the float32 payload "
+            f"of {path}"
+        )
+    return ("block_ids", ids.astype(float))
+
+
 def write_dataset(path, dataset):
     """Persist a phantom dataset (kind ``dataset``)."""
     meta = {
@@ -129,7 +141,7 @@ def write_dataset(path, dataset):
         ("bvalues", dataset.samples.bvalues),
         ("directions", dataset.samples.directions.vectors),
         ("fod_coeffs", dataset.fod_coeffs),
-        ("block_ids", dataset.block_ids.astype(float)),
+        _block_id_segment(dataset.block_ids, path),
     ]
     write_container(path, "dataset", segments, meta)
 
@@ -170,7 +182,7 @@ def write_coeffs(path, coeffs, metadata):
     meta = dict(metadata)
     block_ids = meta.pop("block_ids", None)
     if block_ids is not None:
-        segments.append(("block_ids", np.asarray(block_ids, dtype=float)))
+        segments.append(_block_id_segment(block_ids, path))
     write_container(path, "coeffs", segments, meta)
 
 
@@ -192,7 +204,7 @@ def write_model(path, model):
     meta = {
         "input_dim": model.input_dim,
         "output_dim": model.output_dim,
-        "hidden": list(model.architecture.hidden),
+        "hidden": list(HIDDEN_WIDTHS),
         "activation": "elu",
         "residual": {"from_hidden": 2, "into_hidden": 4},
         "init_seed": model.seed,

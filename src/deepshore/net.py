@@ -24,17 +24,14 @@ SKIP_INTO = 4
 class MlpArchitecture:
     input_dim: int
     output_dim: int
-    hidden: tuple = HIDDEN_WIDTHS
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1:
             raise InvalidArgumentError("layer dimensions must be >= 1")
-        if tuple(self.hidden) != HIDDEN_WIDTHS:
-            raise InvalidArgumentError(f"hidden widths are fixed at {HIDDEN_WIDTHS}")
 
     @property
     def layer_dims(self):
-        return (self.input_dim,) + tuple(self.hidden) + (self.output_dim,)
+        return (self.input_dim,) + HIDDEN_WIDTHS + (self.output_dim,)
 
 
 @dataclass(frozen=True)
@@ -143,12 +140,11 @@ class _Workspace:
     """
 
     def __init__(self, model, rows, backward=True):
-        hidden = model.architecture.hidden
-        self.pre = [np.empty((rows, width)) for width in hidden]
-        self.act = [np.empty((rows, width)) for width in hidden]
+        self.pre = [np.empty((rows, width)) for width in HIDDEN_WIDTHS]
+        self.act = [np.empty((rows, width)) for width in HIDDEN_WIDTHS]
         self.out = np.empty((rows, model.output_dim))
         if backward:
-            self.up = [np.empty((rows, width)) for width in hidden]
+            self.up = [np.empty((rows, width)) for width in HIDDEN_WIDTHS]
             self.delta_out = np.empty((rows, model.output_dim))
             self.grad_w = [np.empty_like(w) for w in model.weights]
             self.grad_b = [np.empty_like(b) for b in model.biases]
@@ -193,11 +189,6 @@ def forward(model, batch):
         )
     out, _, _ = _forward_trace(model, batch)
     return out
-
-
-def predict(model, inputs):
-    """Forward pass without any state mutation."""
-    return forward(model, inputs)
 
 
 def mse(predictions, targets):

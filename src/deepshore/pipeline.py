@@ -12,7 +12,7 @@ with the angular correlation coefficient against the ground truth.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,39 +59,11 @@ class PipelineConfig:
             raise InvalidArgumentError("eval_folds must be >= 2")
 
     def to_dict(self):
-        return {
-            "subcase": self.subcase,
-            "shells": None if self.shells is None else [float(s) for s in self.shells],
-            "withhold_b": self.withhold_b,
-            "shore": {
-                "radial_order": self.shore.radial_order,
-                "lambda_n": self.shore.lambda_n,
-                "lambda_l": self.shore.lambda_l,
-            },
-            "nonneg_epsilon": self.nonneg.epsilon,
-            "train": {
-                "epochs": self.train.epochs,
-                "batch_size": self.train.batch_size,
-                "learning_rate": self.train.learning_rate,
-                "decay": self.train.decay,
-                "stabilizer": self.train.stabilizer,
-                "momentum": self.train.momentum,
-                "seed": self.train.seed,
-                "k_folds": self.train.k_folds,
-                "early_stop": self.train.early_stop,
-                "patience": self.train.patience,
-            },
-            "direction_seed": self.direction_seed,
-            "n_fod_directions": self.n_fod_directions,
-            "direction_iterations": self.direction_iterations,
-            "sh_order": self.sh_order,
-            "fod_bvalue": self.fod_bvalue,
-            "eval_folds": self.eval_folds,
-            "max_folds": self.max_folds,
-            "nested": self.nested,
-            "zeta0": self.zeta0,
-            "zeta_subsample": self.zeta_subsample,
-        }
+        out = asdict(self)
+        out["nonneg_epsilon"] = out.pop("nonneg")["epsilon"]
+        if self.shells is not None:
+            out["shells"] = [float(s) for s in self.shells]
+        return out
 
 
 @dataclass
@@ -280,7 +252,7 @@ def run_subcase_experiment(cfg, dataset):
             validation=validation,
         )
 
-        predictions = out_norm.inverse(net.predict(trained, inputs_n[test_rows]))
+        predictions = out_norm.inverse(net.forward(trained, inputs_n[test_rows]))
         pred_sh, amplitudes = _predicted_fod_sh(
             predictions, target_kind, dirs, cfg, zeta, dataset.sh_order
         )

@@ -126,6 +126,16 @@ def _solve_regularized(design, penalty_diag, rhs, guard):
     return cho_solve(factor, design.T @ rhs)
 
 
+def _check_finite_rows(values, what):
+    """Reject a matrix with NaN or Inf entries, naming the first bad row."""
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise InvalidArgumentError(
+            f"{what} row {int(np.argmax(bad))} holds NaN or Inf "
+            f"({int(bad.sum())} of {bad.size} rows are not finite)"
+        )
+
+
 def fit_sh(values, dirs, max_degree, ridge=0.0):
     """Least-squares fit of sphere samples, optionally Laplace-Beltrami damped.
 
@@ -151,6 +161,7 @@ def fit_sh_many(values, dirs, max_degree, ridge=0.0):
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(dirs):
         raise InvalidArgumentError("values must have shape (n_series, n_directions)")
+    _check_finite_rows(values, "values")
     basis = eval_sh_basis(dirs, max_degree)
     degrees, _ = sh_degree_order_table(max_degree)
     lb = degrees * (degrees + 1)

@@ -29,7 +29,7 @@ from .errors import (
     OptimizationFailureError,
     SingularSystemError,
 )
-from .sh import _check_even, _solve_regularized
+from .sh import _check_even, _check_finite_rows, _solve_regularized
 from .sphere import DirectionSet
 
 
@@ -226,6 +226,7 @@ def fit_shore_many(signals, samples, cfg, zeta):
     signals = np.asarray(signals, dtype=float)
     if signals.ndim != 2 or signals.shape[1] != len(samples):
         raise InvalidArgumentError("signals must have shape (n_voxels, n_samples)")
+    _check_finite_rows(signals, "signal")
     design = shore_design_matrix(samples, cfg.radial_order, zeta)
     penalty = _penalty_diag(cfg)
     guard = penalty is None

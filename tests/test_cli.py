@@ -1,10 +1,15 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deepshore.cli import run_cli
-from deepshore.io import read_container, read_coeffs, read_dataset, read_report
+from deepshore import cli, net, phantom, pipeline, shore
+from deepshore.cli import build_parser, run_cli
+from deepshore.io import read_container, read_coeffs, read_dataset, read_report, write_dataset
+from deepshore.nonneg import NonNegConfig
 
 
 def make_phantom(tmp_path, name="d.dsc", voxels=6, rotations=8, seed=1, extra=()):
@@ -199,3 +204,115 @@ class TestCrossvalCommand:
                         "--eval-folds", "3", "--epochs", "2",
                         "--report", str(tmp_path / "r.json")])
         assert code == 2
+
+
+class TestNonFiniteVoxel:
+    @pytest.fixture()
+    def nan_data(self, tmp_path):
+        path = make_phantom(tmp_path, voxels=6, rotations=8)
+        dataset = read_dataset(path)
+        dataset.signals[7, 3] = np.nan
+        write_dataset(path, dataset)
+        return path
+
+    def test_fit_shore_is_data_error_naming_the_row(self, tmp_path, nan_data, capsys):
+        code = run_cli(["fit-shore", "--in", str(nan_data), "--zeta", "700",
+                        "--out", str(tmp_path / "c.dsc")])
+        assert code == 2
+        assert "row 7" in capsys.readouterr().err
+
+    def test_crossval_is_data_error(self, tmp_path, nan_data):
+        code = run_cli(["crossval", "--in", str(nan_data), "--subcase", "unopt-shore-to-shore",
+                        "--eval-folds", "3", "--epochs", "2",
+                        "--report", str(tmp_path / "r.json")])
+        assert code == 2
+
+
+class _Captured(Exception):
+    pass
+
+
+def capture(monkeypatch, module, name, index):
+    """Replace module.name by a stub that stops the command and keeps its argument."""
+    seen = []
+
+    def stub(*args, **kwargs):
+        seen.append(args[index])
+        raise _Captured
+
+    monkeypatch.setattr(module, name, stub)
+    return seen
+
+
+class TestDefaults:
+    """A command run without optional flags uses the config dataclass defaults."""
+
+    def test_phantom(self, tmp_path, monkeypatch):
+        seen = capture(monkeypatch, phantom, "generate_dataset", 0)
+        with pytest.raises(_Captured):
+            run_cli(["phantom", "--out", str(tmp_path / "d.dsc")])
+        assert seen == [phantom.PhantomConfig()]
+
+    def test_fit_shore(self, tmp_path, monkeypatch):
+        data = make_phantom(tmp_path)
+        nonneg = capture(monkeypatch, cli, "clamp_log", 1)
+        with pytest.raises(_Captured):
+            run_cli(["fit-shore", "--in", str(data), "--log", "--zeta", "700",
+                     "--out", str(tmp_path / "c.dsc")])
+        assert nonneg == [NonNegConfig()]
+        fit = capture(monkeypatch, shore, "fit_shore_many", 2)
+        with pytest.raises(_Captured):
+            run_cli(["fit-shore", "--in", str(data), "--zeta", "700",
+                     "--out", str(tmp_path / "c.dsc")])
+        assert fit == [shore.ShoreFitConfig()]
+
+    def test_fod_to_shore(self, tmp_path, monkeypatch):
+        data = make_phantom(tmp_path)
+        seen = capture(monkeypatch, pipeline, "fod_directions", 0)
+        with pytest.raises(_Captured):
+            run_cli(["fod-to-shore", "--in", str(data), "--zeta", "700",
+                     "--out", str(tmp_path / "t.dsc")])
+        assert seen == [pipeline.PipelineConfig()]
+
+    def test_train(self, tmp_path, monkeypatch):
+        data = make_phantom(tmp_path)
+        coeffs = tmp_path / "c.dsc"
+        assert run_cli(["fit-shore", "--in", str(data), "--zeta", "700",
+                        "--out", str(coeffs)]) == 0
+        seen = capture(monkeypatch, net, "train", 2)
+        with pytest.raises(_Captured):
+            run_cli(["train", "--inputs", str(coeffs), "--targets", str(coeffs),
+                     "--out", str(tmp_path / "m.dsc")])
+        assert seen == [net.TrainConfig()]
+
+    def test_crossval(self, tmp_path, monkeypatch):
+        data = make_phantom(tmp_path)
+        seen = capture(monkeypatch, pipeline, "compare_subcases", 1)
+        with pytest.raises(_Captured):
+            run_cli(["crossval", "--in", str(data)])
+        assert seen == [[pipeline.PipelineConfig()]]
+
+    def test_config_file_switches_flags_on(self, tmp_path, monkeypatch):
+        data = make_phantom(tmp_path)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"early-stop": True, "flat": True}))
+        seen = capture(monkeypatch, pipeline, "compare_subcases", 1)
+        with pytest.raises(_Captured):
+            run_cli(["--config", str(cfg_file), "crossval", "--in", str(data)])
+        [[cfg]] = seen
+        assert cfg.train.early_stop is True
+        assert cfg.nested is False
+
+
+def readme_commands():
+    """Every `deepshore ...` line of the README's code blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, flags=re.MULTILINE | re.DOTALL)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("deepshore ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    args = build_parser().parse_args(argv)
+    assert args.command == argv[0]

@@ -95,6 +95,27 @@ class TestDatasetRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestBlockIds:
+    # 2**24 + 1 is the smallest positive integer that float32 rounds
+    def test_dataset_rejects_id_float32_cannot_hold(self, tmp_path, small_dataset):
+        small_dataset.block_ids[-1] = 2**24 + 1
+        path = tmp_path / "d.dsc"
+        with pytest.raises(InvalidArgumentError, match=f"16777217.*{path.name}"):
+            write_dataset(path, small_dataset)
+        assert not path.exists()
+
+    def test_coeffs_rejects_id_float32_cannot_hold(self, tmp_path):
+        path = tmp_path / "c.dsc"
+        with pytest.raises(InvalidArgumentError, match=f"16777217.*{path.name}"):
+            write_coeffs(path, np.zeros((2, 3)), {"block_ids": np.array([0, 2**24 + 1])})
+
+    def test_largest_exact_id_roundtrips(self, tmp_path, small_dataset):
+        small_dataset.block_ids[-1] = 2**24
+        path = tmp_path / "d.dsc"
+        write_dataset(path, small_dataset)
+        assert read_dataset(path).block_ids[-1] == 2**24
+
+
 class TestCoeffsModel:
     def test_coeffs_roundtrip_with_blocks(self, tmp_path):
         path = tmp_path / "c.dsc"
@@ -112,10 +133,10 @@ class TestCoeffsModel:
         write_model(path, model)
         loaded = read_model(path)
         x = np.random.default_rng(2).standard_normal((3, 50))
-        from deepshore import predict
+        from deepshore import forward
 
         # weights survive the f32 payload, predictions agree to f32 precision
-        assert np.allclose(predict(loaded, x), predict(model, x), atol=1e-4)
+        assert np.allclose(forward(loaded, x), forward(model, x), atol=1e-4)
         assert loaded.seed == model.seed
 
     def test_model_rewrite_bit_identical(self, tmp_path):
