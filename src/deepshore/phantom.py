@@ -29,6 +29,14 @@ from .sphere import (
 _FRACTION_TOL = 1e-9
 
 
+def _cross(a, b):
+    """``np.cross`` of two 3-vectors: the same products and differences,
+    without its per-call axis handling, so the result is bitwise equal."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 @dataclass(frozen=True)
 class TensorCompartment:
     """One Gaussian diffusion compartment.
@@ -59,9 +67,9 @@ class TensorCompartment:
         """Full 3x3 diffusion tensor with a deterministic transverse frame."""
         e1 = self.axis()
         helper = np.array([1.0, 0.0, 0.0]) if abs(e1[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        e2 = np.cross(e1, helper)
+        e2 = _cross(e1, helper)
         e2 /= np.linalg.norm(e2)
-        e3 = np.cross(e1, e2)
+        e3 = _cross(e1, e2)
         ev = np.asarray(self.eigenvalues, dtype=float)
         return ev[0] * np.outer(e1, e1) + ev[1] * np.outer(e2, e2) + ev[2] * np.outer(e3, e3)
 

@@ -18,6 +18,7 @@ constant between q^2 and b would be unidentifiable and is absorbed
 into zeta.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,10 +249,19 @@ def default_zeta0(samples):
     return start
 
 
-def _mean_refit_residual(signals, design, penalty):
+def _mean_refit_residual(signals, design, penalty, signals_t=None):
+    """Mean squared residual of refitting every row of `signals` on `design`.
+
+    `signals_t`, when given, is ``np.ascontiguousarray(signals.T)``, so a
+    caller evaluating many designs transposes the signals once.
+    """
+    if signals_t is None:
+        signals_t = np.ascontiguousarray(signals.T)
     coeffs = _solve_regularized(design, penalty, signals.T, guard=penalty is None)
-    residual = design @ coeffs - signals.T
-    return float(np.mean(residual**2))
+    residual = design @ coeffs
+    residual -= signals_t
+    residual *= residual
+    return float(np.mean(residual))
 
 
 def optimize_zeta(signals, samples, cfg, zeta0, *, max_iterations=100,
@@ -266,15 +276,18 @@ def optimize_zeta(signals, samples, cfg, zeta0, *, max_iterations=100,
     curvature) update, central-difference gradients of `gradient_step`
     in log zeta, and a backtracking line search that only ever accepts
     descent. The returned scale therefore never has a worse objective
-    than `zeta0`. The local phase stops when the log-scale step drops
-    below `tolerance` or after `max_iterations`.
+    than `zeta0`. The gradient and curvature at an accepted point feed
+    the secant update and are reused as the next iteration's, so no scale
+    is evaluated twice. The local phase stops when the log-scale step
+    drops below `tolerance` or after `max_iterations`.
 
     Parameters
     ----------
     signals : array_like, shape (n_voxels, n_samples)
         One signal per row; a single 1-D signal is also accepted.
     subsample : int, optional
-        Optimize on a seeded random subset of this many voxels.
+        Optimize on a seeded random subset of this many voxels, an
+        integer >= 1.
 
     Returns
     -------
@@ -288,19 +301,23 @@ def optimize_zeta(signals, samples, cfg, zeta0, *, max_iterations=100,
         raise InvalidArgumentError("signal length does not match sample count")
     if zeta0 <= 0:
         raise InvalidArgumentError("zeta0 must be positive")
+    if subsample is not None and not (isinstance(subsample, numbers.Integral)
+                                      and subsample >= 1):
+        raise InvalidArgumentError(f"subsample must be an integer >= 1, got {subsample!r}")
     if subsample is not None and subsample < signals.shape[0]:
         pick = np.random.default_rng(subsample_seed).choice(
             signals.shape[0], size=subsample, replace=False
         )
         signals = signals[np.sort(pick)]
 
+    signals_t = np.ascontiguousarray(signals.T)
     penalty = _penalty_diag(cfg)
     last_valid = [None, None]
 
     def objective(log_zeta):
         try:
             design = shore_design_matrix(samples, cfg.radial_order, float(np.exp(log_zeta)))
-            value = _mean_refit_residual(signals, design, penalty)
+            value = _mean_refit_residual(signals, design, penalty, signals_t)
         except (SingularSystemError, ValueError, np.linalg.LinAlgError):
             # solver refusals (including non-finite data) count as a
             # non-finite objective
@@ -336,8 +353,9 @@ def optimize_zeta(signals, samples, cfg, zeta0, *, max_iterations=100,
         h = (f_plus - 2.0 * value + f_minus) / gradient_step**2
         return g, h
 
+    slope = None  # (g, h) at t, carried over from the previous iteration
     for _ in range(max_iterations):
-        g, h = gradient(t, f)
+        g, h = slope if slope is not None else gradient(t, f)
         if g == 0.0:
             break
         scale = curvature if curvature is not None and curvature > 0 else None
@@ -358,7 +376,8 @@ def optimize_zeta(signals, samples, cfg, zeta0, *, max_iterations=100,
             alpha *= 0.5
         if not accepted:
             break
-        g_new, _ = gradient(t_new, f_new)
+        slope = gradient(t_new, f_new)
+        g_new = slope[0]
         s = t_new - t
         y = g_new - g
         if s * y > 1e-16:

@@ -5,6 +5,8 @@ symmetrized Coulomb energy, matching the diffusion-MRI convention that
 +g and -g probe the same signal.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import InvalidArgumentError
@@ -102,12 +104,35 @@ class SphereQuadrature:
         return np.asarray(values, dtype=float) @ self.weights
 
 
+@functools.cache
+def _pair_indices(n):
+    """(i, j) of all i < j pairs of n points, and the two concatenated."""
+    i, j = np.triu_indices(n, k=1)
+    ij = np.concatenate([i, j])
+    for index in (i, j, ij):
+        index.flags.writeable = False
+    return i, j, ij
+
+
+def _norms(vectors):
+    """Column norms of a (3, m) array.
+
+    Adds the squares left to right, as ``np.linalg.norm(axis=1)`` does on
+    the (m, 3) transpose, so both round identically.
+    """
+    x, y, z = vectors
+    return np.sqrt((x * x + y * y) + z * z)
+
+
 def _pair_terms(points):
-    """Difference/sum norms for all i < j pairs, as flat arrays."""
-    i, j = np.triu_indices(points.shape[0], k=1)
-    diff = points[i] - points[j]
-    summ = points[i] + points[j]
-    return i, j, diff, summ
+    """Differences and sums of all i < j pairs as (3, pairs) arrays, with norms."""
+    i, j, _ = _pair_indices(points.shape[0])
+    coords = np.ascontiguousarray(points.T)
+    first = coords.take(i, axis=1)
+    second = coords.take(j, axis=1)
+    diff = first - second
+    summ = first + second
+    return diff, summ, _norms(diff), _norms(summ)
 
 
 def repulsion_energy(points):
@@ -115,22 +140,22 @@ def repulsion_energy(points):
     points = np.asarray(points, dtype=float)
     if points.shape[0] < 2:
         return 0.0
-    _, _, diff, summ = _pair_terms(points)
-    dm = np.linalg.norm(diff, axis=1)
-    dp = np.linalg.norm(summ, axis=1)
+    _, _, dm, dp = _pair_terms(points)
     return float(np.sum(1.0 / dm) + np.sum(1.0 / dp))
 
 
 def _repulsion_gradient(points):
     n = points.shape[0]
-    grad = np.zeros_like(points)
-    i, j, diff, summ = _pair_terms(points)
-    dm = np.linalg.norm(diff, axis=1)[:, None]
-    dp = np.linalg.norm(summ, axis=1)[:, None]
+    _, _, ij = _pair_indices(n)
+    diff, summ, dm, dp = _pair_terms(points)
     gm = -diff / dm**3
     gp = -summ / dp**3
-    np.add.at(grad, i, gm + gp)
-    np.add.at(grad, j, -gm + gp)
+    # the terms of point i of each pair, then those of point j; one
+    # bincount per coordinate adds them in that order
+    terms = np.concatenate([gm + gp, -gm + gp], axis=1)
+    grad = np.empty_like(points)
+    for axis in range(3):
+        grad[:, axis] = np.bincount(ij, weights=terms[axis], minlength=n)
     return grad
 
 
@@ -139,9 +164,8 @@ def _jitter_degenerate(points, rng, tol=1e-8):
     for _ in range(100):
         if points.shape[0] < 2:
             return points
-        _, _, diff, summ = _pair_terms(points)
-        dmin = min(np.linalg.norm(diff, axis=1).min(),
-                   np.linalg.norm(summ, axis=1).min())
+        _, _, dm, dp = _pair_terms(points)
+        dmin = min(dm.min(), dp.min())
         if dmin > tol:
             return points
         points = points + 1e-6 * rng.standard_normal(points.shape)

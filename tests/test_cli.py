@@ -94,6 +94,21 @@ class TestOptimizeZetaCommand:
         assert doc["zeta"] == pytest.approx(zeta)
         assert "created_at" in doc
 
+    @pytest.mark.parametrize("subsample", ["0", "-3"])
+    def test_non_positive_subsample_is_data_error(self, tmp_path, capsys, subsample):
+        data = make_phantom(tmp_path)
+        code = run_cli(["optimize-zeta", "--in", str(data), "--subsample", subsample])
+        assert code == 2
+        assert f"subsample must be an integer >= 1, got {subsample}" in capsys.readouterr().err
+
+    def test_fractional_subsample_in_config_file_is_data_error(self, tmp_path, capsys):
+        data = make_phantom(tmp_path)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"subsample": 2.5}))
+        code = run_cli(["--config", str(cfg_file), "optimize-zeta", "--in", str(data)])
+        assert code == 2
+        assert "subsample must be an integer >= 1, got 2.5" in capsys.readouterr().err
+
 
 class TestFodToShoreCommand:
     def test_writes_target_coeffs(self, tmp_path):
@@ -164,6 +179,16 @@ class TestCrossvalCommand:
         box = read_container(box_path)
         assert box.kind == "report"
         assert "acc_opt-shore-to-shore" in box.segments
+
+    def test_non_positive_zeta_subsample_is_data_error(self, tmp_path, capsys):
+        data = make_phantom(tmp_path, voxels=9, rotations=8, seed=7)
+        code = run_cli([
+            "crossval", "--in", str(data), "--subcase", "opt-shore-to-shore",
+            "--eval-folds", "3", "--max-folds", "1", "--k-folds", "3",
+            "--epochs", "3", "--zeta-subsample", "-3",
+        ])
+        assert code == 2
+        assert "subsample must be an integer >= 1, got -3" in capsys.readouterr().err
 
     def test_report_reproducible_modulo_timestamp(self, tmp_path):
         data = make_phantom(tmp_path, voxels=9, rotations=8, seed=7)

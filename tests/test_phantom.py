@@ -14,6 +14,7 @@ from deepshore import (
     rotate_sh,
     simulate_signal,
 )
+from deepshore import phantom
 from deepshore.phantom import PhantomConfig, build_acquisition
 from deepshore.sphere import gauss_sphere_quadrature, rotate_directions
 
@@ -71,6 +72,36 @@ class TestSimulateSignal:
         samples = QSpaceSamples(bvals, DirectionSet(np.tile(g, (5, 1))))
         signal = simulate_signal([comp], samples)
         assert np.all(np.diff(signal) < 0)
+
+
+class TestCross:
+    def test_matches_np_cross_on_random_vectors(self):
+        rng = np.random.default_rng(0)
+        for a, b in zip(rng.standard_normal((500, 3)), rng.standard_normal((500, 3)) * 1e3):
+            assert phantom._cross(a, b).tobytes() == np.cross(a, b).tobytes()
+
+    @pytest.mark.parametrize("helper", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    def test_matches_np_cross_on_helper_axes(self, helper):
+        rng = np.random.default_rng(1)
+        helper = np.array(helper)
+        for e1 in rng.standard_normal((200, 3)):
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(e1, helper)
+            e2 /= np.linalg.norm(e2)
+            assert phantom._cross(e1, helper).tobytes() == np.cross(e1, helper).tobytes()
+            assert phantom._cross(e1, e2).tobytes() == np.cross(e1, e2).tobytes()
+
+    @pytest.mark.parametrize("axis", [[0.2, 0.5, 0.84], [0.95, 0.1, -0.3]])
+    def test_tensor_matches_np_cross_frame(self, axis):
+        comp = single_fiber(axis)
+        e1 = comp.axis()
+        helper = np.array([1.0, 0.0, 0.0]) if abs(e1[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        e2 = np.cross(e1, helper)
+        e2 /= np.linalg.norm(e2)
+        e3 = np.cross(e1, e2)
+        ev = np.asarray(comp.eigenvalues)
+        expected = ev[0] * np.outer(e1, e1) + ev[1] * np.outer(e2, e2) + ev[2] * np.outer(e3, e3)
+        assert comp.tensor().tobytes() == expected.tobytes()
 
 
 class TestGroundTruthFod:

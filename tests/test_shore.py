@@ -21,7 +21,7 @@ from deepshore import (
     shore_design_matrix,
     shore_to_sh,
 )
-from deepshore import phantom, sh
+from deepshore import phantom, sh, shore
 from deepshore.shore import (
     default_zeta0,
     fit_shore_many,
@@ -263,6 +263,14 @@ class TestOptimizeZeta:
                           subsample=8, subsample_seed=1)
         assert a == b
 
+    @pytest.mark.parametrize("subsample, shown", [(0, "0"), (-3, "-3"), (2.5, "2.5"),
+                                                  ("8", "'8'")])
+    def test_subsample_that_is_not_a_positive_integer_rejected(
+            self, subsample, shown, noiseless_voxels, four_shell_scheme):
+        with pytest.raises(InvalidArgumentError, match=f"got {shown}$"):
+            optimize_zeta(noiseless_voxels.signals, four_shell_scheme, ShoreFitConfig(),
+                          900.0, subsample=subsample)
+
     def test_non_finite_objective_reports_last_valid(self, four_shell_scheme):
         from deepshore import OptimizationFailureError
 
@@ -276,6 +284,126 @@ class TestOptimizeZeta:
         with pytest.raises(InvalidArgumentError):
             optimize_zeta(np.ones((1, len(four_shell_scheme))), four_shell_scheme,
                           ShoreFitConfig(), 0.0)
+
+
+def _ref_optimize_zeta(signals, samples, cfg, zeta0, max_iterations=100,
+                       gradient_step=1e-4, tolerance=1e-6, probe_spread=1.5):
+    """The line search that recomputes the gradient at every accepted point.
+
+    Returns the scale and the number of objective evaluations.
+    """
+    from deepshore.sh import _solve_regularized
+    from deepshore.shore import _penalty_diag
+
+    penalty = _penalty_diag(cfg)
+    evals = [0]
+
+    def objective(log_zeta):
+        evals[0] += 1
+        design = shore_design_matrix(samples, cfg.radial_order, float(np.exp(log_zeta)))
+        coeffs = _solve_regularized(design, penalty, signals.T, guard=penalty is None)
+        residual = design @ coeffs - signals.T
+        return float(np.mean(residual**2))
+
+    t = float(np.log(zeta0))
+    f = objective(t)
+    best_t, best_f = t, f
+    for step_count in (1, 2, 3, 4):
+        offset = probe_spread * step_count / 4.0
+        for signed in (-offset, offset):
+            f_probe = objective(t + signed)
+            if f_probe < best_f:
+                best_t, best_f = t + signed, f_probe
+    t, f = best_t, best_f
+    curvature = None
+
+    def gradient(point, value):
+        f_plus = objective(point + gradient_step)
+        f_minus = objective(point - gradient_step)
+        g = (f_plus - f_minus) / (2.0 * gradient_step)
+        h = (f_plus - 2.0 * value + f_minus) / gradient_step**2
+        return g, h
+
+    for _ in range(max_iterations):
+        g, h = gradient(t, f)
+        if g == 0.0:
+            break
+        scale = curvature if curvature is not None and curvature > 0 else None
+        if scale is None:
+            scale = h if h > 0 else abs(g)
+        step = float(np.clip(-g / scale, -1.0, 1.0))
+        accepted = False
+        alpha = 1.0
+        for _ in range(30):
+            t_new = t + alpha * step
+            f_new = objective(t_new)
+            if f_new <= f + 1e-4 * alpha * step * g:
+                accepted = True
+                break
+            alpha *= 0.5
+        if not accepted:
+            break
+        g_new, _ = gradient(t_new, f_new)
+        s = t_new - t
+        y = g_new - g
+        if s * y > 1e-16:
+            curvature = y / s
+        t, f = t_new, f_new
+        if f < best_f:
+            best_t, best_f = t, f
+        if abs(s) < tolerance:
+            break
+    return float(np.exp(best_t)), evals[0]
+
+
+@pytest.fixture(scope="module")
+def noisy_signals(noiseless_voxels):
+    return phantom.add_rician_noise(noiseless_voxels.signals, 30.0, seed=4)
+
+
+class TestOptimizeZetaBitExact:
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_matches_reference_loop(self, noisy, four_shell_scheme, noiseless_voxels,
+                                    noisy_signals):
+        signals = noisy_signals if noisy else noiseless_voxels.signals
+        cfg = ShoreFitConfig()
+        zeta0 = default_zeta0(four_shell_scheme)
+        expected, _ = _ref_optimize_zeta(signals, four_shell_scheme, cfg, zeta0)
+        found = optimize_zeta(signals, four_shell_scheme, cfg, zeta0)
+        assert found.hex() == expected.hex()
+
+    def test_refit_residual_matches_reference(self, four_shell_scheme, noisy_signals):
+        from deepshore.shore import _mean_refit_residual, _penalty_diag
+        from deepshore.sh import _solve_regularized
+
+        pen = _penalty_diag(ShoreFitConfig())
+        design = shore_design_matrix(four_shell_scheme, 6, 900.0)
+        coeffs = _solve_regularized(design, pen, noisy_signals.T, guard=False)
+        expected = float(np.mean((design @ coeffs - noisy_signals.T) ** 2))
+        signals_t = np.ascontiguousarray(noisy_signals.T)
+        assert _mean_refit_residual(noisy_signals, design, pen).hex() == expected.hex()
+        assert _mean_refit_residual(noisy_signals, design, pen, signals_t).hex() == expected.hex()
+
+    def test_no_scale_is_evaluated_twice(self, monkeypatch, four_shell_scheme,
+                                         noisy_signals):
+        cfg = ShoreFitConfig()
+        zeta0 = default_zeta0(four_shell_scheme)
+        _, reference_evals = _ref_optimize_zeta(noisy_signals, four_shell_scheme, cfg, zeta0)
+        scales = []
+        build = shore.shore_design_matrix
+
+        def counting(samples, radial_order, zeta):
+            scales.append(zeta)
+            return build(samples, radial_order, zeta)
+
+        monkeypatch.setattr(shore, "shore_design_matrix", counting)
+        optimize_zeta(noisy_signals, four_shell_scheme, cfg, zeta0)
+        assert len(set(scales)) == len(scales)
+        assert len(scales) < reference_evals
+
+        scales.clear()
+        optimize_zeta(noisy_signals, four_shell_scheme, cfg, zeta0, max_iterations=0)
+        assert len(scales) == 9  # the start and the eight probes, no gradient
 
 
 def watson_fod(kappa, seed, max_degree=8):

@@ -10,6 +10,7 @@ from deepshore import (
     random_rotation,
     rotate_directions,
 )
+from deepshore import sphere
 from deepshore.sphere import repulsion_energy
 
 
@@ -64,6 +65,125 @@ class TestGenerateUniformDirections:
             for k in budgets
         ]
         assert all(e2 <= e1 + 1e-12 for e1, e2 in zip(energies, energies[1:]))
+
+
+# Reference forms of the repulsion kernels: rows of (pairs, 3) arrays,
+# np.linalg.norm(axis=1) and two np.add.at scatters. The kernels in
+# `sphere` must round exactly like these.
+def _ref_pair_terms(points):
+    i, j = np.triu_indices(points.shape[0], k=1)
+    return i, j, points[i] - points[j], points[i] + points[j]
+
+
+def _ref_energy(points):
+    if points.shape[0] < 2:
+        return 0.0
+    _, _, diff, summ = _ref_pair_terms(points)
+    dm = np.linalg.norm(diff, axis=1)
+    dp = np.linalg.norm(summ, axis=1)
+    return float(np.sum(1.0 / dm) + np.sum(1.0 / dp))
+
+
+def _ref_gradient(points):
+    grad = np.zeros_like(points)
+    i, j, diff, summ = _ref_pair_terms(points)
+    dm = np.linalg.norm(diff, axis=1)[:, None]
+    dp = np.linalg.norm(summ, axis=1)[:, None]
+    gm = -diff / dm**3
+    gp = -summ / dp**3
+    np.add.at(grad, i, gm + gp)
+    np.add.at(grad, j, -gm + gp)
+    return grad
+
+
+def _ref_jitter(points, rng, tol=1e-8):
+    for _ in range(100):
+        if points.shape[0] < 2:
+            return points
+        _, _, diff, summ = _ref_pair_terms(points)
+        dmin = min(np.linalg.norm(diff, axis=1).min(),
+                   np.linalg.norm(summ, axis=1).min())
+        if dmin > tol:
+            return points
+        points = points + 1e-6 * rng.standard_normal(points.shape)
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+    raise AssertionError("reference jitter did not resolve the start")
+
+
+def _ref_generate(n, seed, iterations):
+    rng = np.random.default_rng(seed)
+    points = rng.standard_normal((n, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    points = _ref_jitter(points, rng)
+    if n == 1:
+        return points
+    energy = _ref_energy(points)
+    step = 0.1
+    for _ in range(iterations):
+        grad = _ref_gradient(points)
+        grad -= np.sum(grad * points, axis=1, keepdims=True) * points
+        moved = False
+        for _ in range(40):
+            cand = points - step * grad
+            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+            cand_energy = _ref_energy(cand)
+            if cand_energy < energy:
+                points, energy = cand, cand_energy
+                step *= 1.5
+                moved = True
+                break
+            step *= 0.5
+        if not moved:
+            break
+    return points
+
+
+_default_rng = np.random.default_rng
+
+
+class _DegenerateStart:
+    """A generator whose first draw puts point 1 on point 0 and point 3 on -point 2."""
+
+    def __init__(self, seed):
+        self._rng = _default_rng(seed)
+        self._first = True
+
+    def standard_normal(self, shape):
+        draw = self._rng.standard_normal(shape)
+        if self._first:
+            self._first = False
+            draw[1] = draw[0]
+            draw[3] = -draw[2]
+        return draw
+
+
+def _random_points(n, seed):
+    points = np.random.default_rng(seed).standard_normal((n, 3))
+    return points / np.linalg.norm(points, axis=1, keepdims=True)
+
+
+class TestRepulsionBitExact:
+    @pytest.mark.parametrize("n", [2, 3, 17, 100])
+    def test_kernels_match_reference(self, n):
+        points = _random_points(n, seed=n)
+        assert sphere._repulsion_gradient(points).tobytes() == _ref_gradient(points).tobytes()
+        assert repulsion_energy(points).hex() == _ref_energy(points).hex()
+
+    @pytest.mark.parametrize("n, seed, iterations",
+                             [(2, 0, 50), (3, 1, 100), (40, 2, 200), (100, 11, 150)])
+    def test_directions_match_reference(self, n, seed, iterations):
+        got = generate_uniform_directions(n, seed, iterations).vectors
+        assert got.tobytes() == _ref_generate(n, seed, iterations).tobytes()
+
+    def test_degenerate_start_matches_reference(self, monkeypatch):
+        start = _DegenerateStart(5).standard_normal((12, 3))
+        start /= np.linalg.norm(start, axis=1, keepdims=True)
+        _, _, diff, summ = _ref_pair_terms(start)
+        assert not np.linalg.norm(diff, axis=1).all() and not np.linalg.norm(summ, axis=1).all()
+        monkeypatch.setattr(sphere.np.random, "default_rng", _DegenerateStart)
+        got = generate_uniform_directions(12, 5, 60).vectors
+        assert got.tobytes() == _ref_generate(12, 5, 60).tobytes()
+        assert np.isfinite(got).all()
 
 
 class TestRandomRotation:
