@@ -43,6 +43,7 @@ from .phantom import (
 )
 from .pipeline import (
     EvalReport,
+    FodRegressor,
     PipelineConfig,
     compare_subcases,
     run_subcase_experiment,
@@ -50,6 +51,7 @@ from .pipeline import (
 from .sh import (
     ShSeries,
     acc,
+    acc_many,
     eval_sh_basis,
     fit_sh,
     rotate_sh,
@@ -65,10 +67,8 @@ from .shore import (
     optimize_zeta,
     radial_basis_g,
     reconstruct_signal,
-    sh_fod_to_shore,
     shore_coeff_count,
     shore_design_matrix,
-    shore_to_sh,
 )
 from .sphere import (
     DirectionSet,

@@ -1,13 +1,18 @@
 """Batch command-line pipeline.
 
 Subcommands: phantom, fit-shore, optimize-zeta, fod-to-shore, train,
-predict, evaluate, crossval. Exit code 0 on success, 1 on usage errors
-(bad flags, missing files), 2 on data or numeric errors. Every command
-that writes a report or container echoes its resolved configuration and
-seeds so runs can be reproduced. A JSON config file can pre-set any
-flag; explicit flags win over the file. Numeric-library parallelism
-follows the BLAS library's own environment variables, such as
-OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before the process starts.
+predict, evaluate, crossval. The chain fit-shore --log -> fod-to-shore
+--log -> train -> predict -> evaluate runs the code that crossval runs
+on each fold: `train` fits a `pipeline.FodRegressor` (standardizers,
+network and FOD map in one model container) and `predict` writes its SH
+FODs. Exit code 0 on success, 1 on usage errors (bad flags, missing
+files, config-file values of the wrong type), 2 on data or numeric
+errors. Every command that writes a report or container echoes its
+resolved configuration and seeds so runs can be reproduced. A JSON
+config file can pre-set any flag; explicit flags win over the file.
+Numeric-library parallelism follows the BLAS library's own environment
+variables, such as OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before
+the process starts.
 """
 
 import argparse
@@ -39,13 +44,19 @@ def _timestamp():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _write_report(path, command, **fields):
+    io.write_report(path, {"kind": "report", "command": command, "created_at": _timestamp(),
+                           **fields})
+
+
 def _parse_shells(text):
-    if text is None:
-        return None
-    try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise _UsageError(f"cannot parse shell list {text!r}")
+    if not isinstance(text, str):
+        raise TypeError("expected a comma-separated string of b-values")
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+def _as_list(value):
+    return [value] if isinstance(value, str) else list(value)
 
 
 def _load_config_file(path):
@@ -63,14 +74,21 @@ def _load_config_file(path):
     return cfg
 
 
-def _resolve(args, file_cfg, key, default):
-    """Flag > config file > default."""
+def _resolve(args, file_cfg, key, default, cast=None):
+    """Flag > config file > default. A flag or file value is passed
+    through `cast`; a value that `cast` rejects is a usage error naming
+    the key."""
     value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
+    if value is None:
+        value = file_cfg.get(key)
+    if value is None:
+        return default
+    if cast is None:
         return value
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise _UsageError(f"bad value {value!r} for {key!r}: {exc}")
 
 
 def _from_flags(cls, args, file_cfg, flags=None, **values):
@@ -87,9 +105,9 @@ def _from_flags(cls, args, file_cfg, flags=None, **values):
     if flags is None:
         flags = {f.name: f.name.replace("_", "-") for f in dataclasses.fields(cls)}
     for name, flag in flags.items():
-        value = _resolve(args, file_cfg, flag, None)
+        value = _resolve(args, file_cfg, flag, None, type(getattr(default, name)))
         if name not in values and value is not None:
-            values[name] = type(getattr(default, name))(value)
+            values[name] = value
     return dataclasses.replace(default, **values)
 
 
@@ -99,10 +117,15 @@ def _require_input(path):
     return path
 
 
+def _flags(parser, kind, *names):
+    """Optional flags of one type; an absent flag reads as None (`_resolve`)."""
+    for name in names:
+        parser.add_argument(f"--{name}", type=kind, default=None)
+
+
 def _add_common_shore_flags(parser):
-    parser.add_argument("--radial-order", type=int, default=None)
-    parser.add_argument("--lambda-n", type=float, default=None)
-    parser.add_argument("--lambda-l", type=float, default=None)
+    _flags(parser, int, "radial-order")
+    _flags(parser, float, "lambda-n", "lambda-l")
     parser.add_argument("--shells", type=str, default=None,
                         help="comma-separated b-values to keep")
     parser.add_argument("--withhold-b", type=float, default=None,
@@ -132,64 +155,50 @@ def build_parser():
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("phantom", help="generate a synthetic dataset")
-    p.add_argument("--voxels", type=int, default=None)
-    p.add_argument("--rotations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--shells", type=str, default=None)
-    p.add_argument("--dirs-per-shell", type=int, default=None)
-    p.add_argument("--snr", type=float, default=None)
+    _flags(p, int, "voxels", "rotations", "seed", "dirs-per-shell", "max-fibers")
+    _flags(p, float, "snr", "kappa")
+    _flags(p, str, "shells")
     p.add_argument("--noiseless", action="store_true", default=None)
-    p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--max-fibers", type=int, default=None)
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("fit-shore", help="fit signal coefficients")
     p.add_argument("--in", dest="infile", type=str, required=True)
-    p.add_argument("--zeta", type=float, default=None)
+    _flags(p, float, "zeta", "zeta0", "nonneg-epsilon")
     p.add_argument("--optimize", action="store_true", default=None,
                    help="optimize the scale on the input data first")
-    p.add_argument("--zeta0", type=float, default=None)
     p.add_argument("--log", action="store_true", default=None,
                    help="clamp-log the signals before fitting")
-    p.add_argument("--nonneg-epsilon", type=float, default=None)
     _add_common_shore_flags(p)
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("optimize-zeta", help="data-optimize the scale parameter")
     p.add_argument("--in", dest="infile", type=str, required=True)
-    p.add_argument("--zeta0", type=float, default=None)
+    _flags(p, float, "zeta0", "nonneg-epsilon")
+    _flags(p, int, "subsample", "seed")
     p.add_argument("--log", action="store_true", default=None)
-    p.add_argument("--nonneg-epsilon", type=float, default=None)
-    p.add_argument("--subsample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     _add_common_shore_flags(p)
     p.add_argument("--report", type=str, default=None)
 
     p = sub.add_parser("fod-to-shore", help="re-express ground-truth FODs in the signal basis")
     p.add_argument("--in", dest="infile", type=str, required=True)
     p.add_argument("--zeta", type=float, required=True)
-    p.add_argument("--fod-b", type=float, default=None)
-    p.add_argument("--dirs-seed", type=int, default=None)
-    p.add_argument("--n-dirs", type=int, default=None)
+    _flags(p, float, "fod-b", "nonneg-epsilon")
+    _flags(p, int, "dirs-seed", "n-dirs")
     p.add_argument("--log", action="store_true", default=None)
-    p.add_argument("--nonneg-epsilon", type=float, default=None)
     _add_common_shore_flags(p)
     p.add_argument("--out", type=str, required=True)
 
+    train_flags = {int: ("epochs", "batch-size", "seed"),
+                   float: ("learning-rate", "momentum", "stabilizer", "decay")}
     p = sub.add_parser("train", help="train the residual network on coefficient pairs")
     p.add_argument("--inputs", type=str, required=True)
     p.add_argument("--targets", type=str, required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--stabilizer", type=float, default=None)
-    p.add_argument("--decay", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for kind, names in train_flags.items():
+        _flags(p, kind, *names)
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--report", type=str, default=None)
 
-    p = sub.add_parser("predict", help="run a saved model over coefficients")
+    p = sub.add_parser("predict", help="predict SH FODs with a saved model")
     p.add_argument("--model", type=str, required=True)
     p.add_argument("--inputs", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
@@ -204,24 +213,12 @@ def build_parser():
     p.add_argument("--subcase", action="append", default=None,
                    choices=sorted(pipeline.SUBCASES),
                    help="repeatable; runs and compares all named subcases")
-    p.add_argument("--eval-folds", type=int, default=None)
-    p.add_argument("--max-folds", type=int, default=None)
-    p.add_argument("--k-folds", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--stabilizer", type=float, default=None)
-    p.add_argument("--decay", type=float, default=None)
+    for kind, names in train_flags.items():
+        _flags(p, kind, *names)
+    _flags(p, int, "eval-folds", "max-folds", "k-folds", "patience", "zeta-subsample",
+           "dirs-seed", "sh-order")
+    _flags(p, float, "nonneg-epsilon", "zeta0", "fod-b")
     p.add_argument("--early-stop", action="store_true", default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--nonneg-epsilon", type=float, default=None)
-    p.add_argument("--zeta0", type=float, default=None)
-    p.add_argument("--zeta-subsample", type=int, default=None)
-    p.add_argument("--dirs-seed", type=int, default=None)
-    p.add_argument("--fod-b", type=float, default=None)
-    p.add_argument("--sh-order", type=int, default=None)
     p.add_argument("--flat", action="store_true", default=None,
                    help="train on all training rows, no inner validation fold")
     _add_common_shore_flags(p)
@@ -233,7 +230,7 @@ def build_parser():
 
 def _cmd_phantom(args, file_cfg):
     fixed = {}
-    shells = _parse_shells(_resolve(args, file_cfg, "shells", None))
+    shells = _resolve(args, file_cfg, "shells", None, _parse_shells)
     if shells:
         fixed["shell_bvalues"] = shells
     if _resolve(args, file_cfg, "noiseless", False):
@@ -256,8 +253,8 @@ def _signal_inputs(args, file_cfg):
     dataset = io.read_dataset(_require_input(args.infile))
     mask = pipeline.shell_mask(
         dataset.samples,
-        _parse_shells(_resolve(args, file_cfg, "shells", None)),
-        _resolve(args, file_cfg, "withhold-b", None),
+        _resolve(args, file_cfg, "shells", None, _parse_shells),
+        _resolve(args, file_cfg, "withhold-b", None, float),
     )
     signals = dataset.signals[:, mask]
     if _log_domain(args, file_cfg):
@@ -266,14 +263,14 @@ def _signal_inputs(args, file_cfg):
 
 
 def _zeta0(args, file_cfg, samples):
-    zeta0 = _resolve(args, file_cfg, "zeta0", None)
-    return float(zeta0) if zeta0 is not None else shore.default_zeta0(samples)
+    zeta0 = _resolve(args, file_cfg, "zeta0", None, float)
+    return zeta0 if zeta0 is not None else shore.default_zeta0(samples)
 
 
 def _cmd_fit_shore(args, file_cfg):
     dataset, samples, signals = _signal_inputs(args, file_cfg)
     cfg = _shore_config(args, file_cfg)
-    zeta = _resolve(args, file_cfg, "zeta", None)
+    zeta = _resolve(args, file_cfg, "zeta", None, float)
     # an explicit scale wins over "optimize" in the config file
     if args.optimize or (zeta is None and file_cfg.get("optimize")):
         zeta = shore.optimize_zeta(signals, samples, cfg, _zeta0(args, file_cfg, samples))
@@ -300,156 +297,132 @@ def _cmd_optimize_zeta(args, file_cfg):
     zeta = shore.optimize_zeta(
         signals, samples, cfg, zeta0,
         subsample=_resolve(args, file_cfg, "subsample", None),
-        subsample_seed=int(_resolve(args, file_cfg, "seed", 0)),
+        subsample_seed=_resolve(args, file_cfg, "seed", 0, int),
     )
     print(f"{zeta:.10g}")
     if args.report:
-        io.write_report(args.report, {
-            "kind": "report",
-            "command": "optimize-zeta",
-            "created_at": _timestamp(),
-            "zeta0": zeta0,
-            "zeta": zeta,
-            "shells": [float(s) for s in samples.shells()],
+        _write_report(
+            args.report, "optimize-zeta",
+            zeta0=zeta0,
+            zeta=zeta,
+            shells=[float(s) for s in samples.shells()],
             **dataclasses.asdict(cfg),
-            "log_domain": _log_domain(args, file_cfg),
-            "source": args.infile,
-        })
+            log_domain=_log_domain(args, file_cfg),
+            source=args.infile,
+        )
     return 0
 
 
 def _cmd_fod_to_shore(args, file_cfg):
     dataset = io.read_dataset(_require_input(args.infile))
-    cfg = _shore_config(args, file_cfg)
-    fod_cfg = _from_flags(pipeline.PipelineConfig, args, file_cfg, {
+    cfg = _from_flags(pipeline.PipelineConfig, args, file_cfg, {
         "direction_seed": "dirs-seed", "n_fod_directions": "n-dirs", "fod_bvalue": "fod-b",
-    })
-    dirs = pipeline.fod_directions(fod_cfg)
-    bvalue = fod_cfg.fod_bvalue
-    values = dataset.fod_coeffs @ sh.eval_sh_basis(dirs, dataset.sh_order).T
+    }, shore=_shore_config(args, file_cfg), nonneg=_nonneg_config(args, file_cfg))
     log_domain = _log_domain(args, file_cfg)
-    if log_domain:
-        values = clamp_log(values, _nonneg_config(args, file_cfg))
-    scheme = shore.QSpaceSamples(np.full(len(dirs), bvalue), dirs)
-    coeffs = shore.fit_shore_many(values, scheme, cfg, args.zeta)
+    coeffs = pipeline.fod_targets(
+        dataset.fod_coeffs, dataset.sh_order, "shore", args.zeta, cfg, log=log_domain
+    )
     io.write_coeffs(args.out, coeffs, {
         "representation": "shore",
-        "radial_order": cfg.radial_order,
-        "zeta": float(args.zeta),
-        "fod_bvalue": bvalue,
+        **pipeline.FodRegressor("shore", args.zeta, cfg, dataset.sh_order).description(),
         "log_domain": log_domain,
-        "dirs_seed": fod_cfg.direction_seed,
-        "n_dirs": len(dirs),
         "source": args.infile,
         "block_ids": dataset.block_ids,
     })
-    print(f"re-expressed {coeffs.shape[0]} FODs at b={bvalue:g}, zeta={args.zeta:g}")
+    print(f"re-expressed {coeffs.shape[0]} FODs at b={cfg.fod_bvalue:g}, zeta={args.zeta:g}")
     return 0
 
 
 def _cmd_train(args, file_cfg):
     inputs, in_meta = io.read_coeffs(_require_input(args.inputs))
     targets, tgt_meta = io.read_coeffs(_require_input(args.targets))
-    if inputs.shape[0] != targets.shape[0]:
-        raise InvalidArgumentError(
-            f"row mismatch: {inputs.shape[0]} inputs vs {targets.shape[0]} targets"
-        )
-    block_ids = in_meta.get("block_ids")
-    if block_ids is None:
-        block_ids = np.arange(inputs.shape[0])
+    block_ids = in_meta.get("block_ids", np.arange(inputs.shape[0]))
     cfg = _train_config(args, file_cfg)
-    model = net.build_model(inputs.shape[1], targets.shape[1], seed=cfg.seed)
-    trained, history = net.train(model, net.VoxelDataset(inputs, targets, block_ids), cfg)
-    io.write_model(args.out, trained)
+    # only log-domain FOD targets (fod-to-shore --log) give a model that
+    # predict can map back to FODs
+    regressor = pipeline.FodRegressor.from_description(
+        tgt_meta if tgt_meta.get("log_domain") else None
+    )
+    history, _ = regressor.fit(inputs, targets, block_ids, cfg, cfg.seed, nested=False)
+    io.write_model(args.out, regressor)
     print(f"trained {cfg.epochs} epochs, final loss {history[-1]:.6e}")
     if args.report:
-        io.write_report(args.report, {
-            "kind": "report",
-            "command": "train",
-            "created_at": _timestamp(),
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-            "learning_rate": cfg.learning_rate,
-            "seed": cfg.seed,
-            "loss_history": [float(v) for v in history],
-            "inputs": args.inputs,
-            "targets": args.targets,
-            "input_meta": {k: v for k, v in in_meta.items() if k != "block_ids"},
-            "target_meta": {k: v for k, v in tgt_meta.items() if k != "block_ids"},
-        })
+        _write_report(
+            args.report, "train",
+            epochs=cfg.epochs,
+            batch_size=cfg.batch_size,
+            learning_rate=cfg.learning_rate,
+            seed=cfg.seed,
+            loss_history=[float(v) for v in history],
+            inputs=args.inputs,
+            targets=args.targets,
+            input_meta={k: v for k, v in in_meta.items() if k != "block_ids"},
+            target_meta={k: v for k, v in tgt_meta.items() if k != "block_ids"},
+        )
     return 0
 
 
 def _cmd_predict(args, file_cfg):
-    model = io.read_model(_require_input(args.model))
+    regressor = io.read_model(_require_input(args.model))
+    if regressor.target_kind is None:
+        raise InvalidArgumentError(
+            f"model {args.model} was not trained on log-domain FOD coefficients "
+            "(fod-to-shore --log), so it cannot predict FODs"
+        )
     inputs, in_meta = io.read_coeffs(_require_input(args.inputs))
-    outputs = net.forward(model, inputs)
-    meta = {
-        "representation": "prediction",
+    fods = regressor.predict_fod_sh(inputs)
+    io.write_coeffs(args.out, fods, {
+        "representation": "sh",
+        "sh_order": regressor.out_degree,
         "model": args.model,
         "source": args.inputs,
-    }
-    if "block_ids" in in_meta:
-        meta["block_ids"] = in_meta["block_ids"]
-    io.write_coeffs(args.out, outputs, meta)
-    print(f"predicted {outputs.shape[0]} rows x {outputs.shape[1]} coefficients")
+        "block_ids": in_meta.get("block_ids"),
+    })
+    print(f"predicted {fods.shape[0]} FODs x {fods.shape[1]} SH coefficients")
     return 0
 
 
 def _cmd_evaluate(args, file_cfg):
     pred, pred_meta = io.read_coeffs(_require_input(args.pred))
     truth_path = _require_input(args.truth)
-    box = io.read_container(truth_path)
-    if box.kind == "dataset":
+    if io.read_container(truth_path).kind == "dataset":
         dataset = io.read_dataset(truth_path)
-        truth = dataset.fod_coeffs
-        order = dataset.sh_order
+        truth, order = dataset.fod_coeffs, dataset.sh_order
     else:
         truth, truth_meta = io.read_coeffs(truth_path)
         order = int(truth_meta.get("sh_order", pipeline.PipelineConfig().sh_order))
-    if pred.shape != truth.shape:
-        raise InvalidArgumentError(
-            f"prediction shape {pred.shape} does not match truth {truth.shape}"
-        )
-    acc = np.array([
-        sh.acc(sh.ShSeries(order, pred[i]), sh.ShSeries(order, truth[i]))
-        for i in range(pred.shape[0])
-    ])
+    acc = sh.acc_many(pred, truth, order)
     median, mean = stats.summarize_report(acc)
     print(f"ACC over {acc.size} voxels: median {median:.4f}, mean {mean:.4f}")
     if args.report:
-        io.write_report(args.report, {
-            "kind": "report",
-            "command": "evaluate",
-            "created_at": _timestamp(),
-            "acc": [float(v) for v in acc],
-            "median": median,
-            "mean": mean,
-            "pred": args.pred,
-            "truth": args.truth,
-            "pred_meta": {k: v for k, v in pred_meta.items() if k != "block_ids"},
-        })
+        _write_report(
+            args.report, "evaluate",
+            acc=[float(v) for v in acc],
+            median=median,
+            mean=mean,
+            pred=args.pred,
+            truth=args.truth,
+            pred_meta={k: v for k, v in pred_meta.items() if k != "block_ids"},
+        )
     return 0
 
 
 def _cmd_crossval(args, file_cfg):
     dataset = io.read_dataset(_require_input(args.infile))
-    subcases = _resolve(args, file_cfg, "subcase", None) or [pipeline.PipelineConfig().subcase]
-    if isinstance(subcases, str):
-        subcases = [subcases]
-    zeta0 = _resolve(args, file_cfg, "zeta0", None)
+    subcases = (_resolve(args, file_cfg, "subcase", None, _as_list)
+                or [pipeline.PipelineConfig().subcase])
     flags = {"direction_seed": "dirs-seed", "sh_order": "sh-order", "fod_bvalue": "fod-b",
              "eval_folds": "eval-folds"}
     base = _from_flags(
         pipeline.PipelineConfig, args, file_cfg, flags,
-        shells=_parse_shells(_resolve(args, file_cfg, "shells", None)),
-        withhold_b=_resolve(args, file_cfg, "withhold-b", None),
+        shells=_resolve(args, file_cfg, "shells", None, _parse_shells),
+        withhold_b=_resolve(args, file_cfg, "withhold-b", None, float),
         shore=_shore_config(args, file_cfg),
         nonneg=_nonneg_config(args, file_cfg),
         train=_train_config(args, file_cfg),
-        max_folds=_resolve(args, file_cfg, "max-folds", None),
+        max_folds=_resolve(args, file_cfg, "max-folds", None, int),
         nested=not _resolve(args, file_cfg, "flat", False),
-        zeta0=float(zeta0) if zeta0 is not None else None,
+        zeta0=_resolve(args, file_cfg, "zeta0", None, float),
         zeta_subsample=_resolve(args, file_cfg, "zeta-subsample", None),
     )
     configs = [dataclasses.replace(base, subcase=name) for name in subcases]
@@ -473,10 +446,9 @@ def _cmd_crossval(args, file_cfg):
         io.write_report(args.report, document)
     if args.out:
         slim = json.loads(json.dumps(document))
-        acc_arrays = []
-        for name, method in slim["methods"].items():
-            acc_arrays.append((f"acc_{name}", np.array(method.pop("acc"))))
         slim.pop("created_at")
+        acc_arrays = [(f"acc_{name}", np.array(method.pop("acc")))
+                      for name, method in slim["methods"].items()]
         io.write_report_container(args.out, slim, acc_arrays)
     return 0
 
@@ -503,10 +475,7 @@ def run_cli(argv):
             return 1
         file_cfg = _load_config_file(args.config)
         return _HANDLERS[args.command](args, file_cfg)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (_UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DeepShoreError, np.linalg.LinAlgError) as exc:

@@ -11,13 +11,14 @@ with sorted keys so identical content produces identical bytes.
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ContainerFormatError, InvalidArgumentError
 from .net import HIDDEN_WIDTHS, MlpArchitecture, MlpModel
 from .phantom import PhantomDataset
+from .pipeline import FodRegressor, _Standardizer
 from .shore import QSpaceSamples
 from .sphere import DirectionSet
 
@@ -121,21 +122,8 @@ def write_dataset(path, dataset):
         "n_blocks": int(np.unique(dataset.block_ids).size),
     }
     if dataset.config is not None:
-        cfg = dataset.config
-        meta["phantom_config"] = {
-            "shell_bvalues": list(cfg.shell_bvalues),
-            "directions_per_shell": cfg.directions_per_shell,
-            "crossing_angle_range": list(cfg.crossing_angle_range),
-            "fraction_range": list(cfg.fraction_range),
-            "kappa_watson": cfg.kappa_watson,
-            "snr": "inf" if np.isinf(cfg.snr) else cfg.snr,
-            "n_voxels": cfg.n_voxels,
-            "rotations_per_voxel": cfg.rotations_per_voxel,
-            "max_fibers": cfg.max_fibers,
-            "sh_order": cfg.sh_order,
-            "seed": cfg.seed,
-            "eigenvalues": list(cfg.eigenvalues),
-        }
+        snr = dataset.config.snr
+        meta["phantom_config"] = {**asdict(dataset.config), "snr": "inf" if np.isinf(snr) else snr}
     segments = [
         ("signals", dataset.signals),
         ("bvalues", dataset.samples.bvalues),
@@ -199,8 +187,11 @@ def read_coeffs(path):
     return coeffs, meta
 
 
-def write_model(path, model):
-    """Persist a network (kind ``model``): weights layer-major, bias after matrix."""
+def write_model(path, regressor):
+    """Persist a fitted FodRegressor (kind ``model``): weights layer-major,
+    each bias after its matrix, then the input and target standardizers'
+    means and scales; the metadata holds the FOD map as ``target``."""
+    model = regressor.model
     meta = {
         "input_dim": model.input_dim,
         "output_dim": model.output_dim,
@@ -209,28 +200,37 @@ def write_model(path, model):
         "residual": {"from_hidden": 2, "into_hidden": 4},
         "init_seed": model.seed,
         "layer_shapes": [list(w.shape) for w in model.weights],
+        "target": regressor.description(),
     }
     segments = []
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         segments.append((f"w{i + 1}", w))
         segments.append((f"b{i + 1}", b))
+    for side, norm in (("in", regressor.in_norm), ("out", regressor.out_norm)):
+        segments.append((f"{side}_mean", norm.mean))
+        segments.append((f"{side}_scale", norm.scale))
     write_container(path, "model", segments, meta)
 
 
 def read_model(path):
+    """The FodRegressor that `write_model` stored."""
     box = read_container(path)
     if box.kind != "model":
         raise ContainerFormatError(f"expected a model container, got {box.kind!r}")
     arch = MlpArchitecture(int(box.metadata["input_dim"]), int(box.metadata["output_dim"]))
-    weights = []
-    biases = []
-    for i in range(6):
-        try:
-            weights.append(box.segments[f"w{i + 1}"].astype(float))
-            biases.append(box.segments[f"b{i + 1}"].astype(float))
-        except KeyError as exc:
-            raise ContainerFormatError(f"model container missing layer {i + 1}") from exc
-    return MlpModel(arch, weights, biases, seed=box.metadata.get("init_seed"))
+    seg = {name: values.astype(float) for name, values in box.segments.items()}
+    regressor = FodRegressor.from_description(box.metadata.get("target"))
+    try:
+        weights = [seg[f"w{i + 1}"] for i in range(6)]
+        biases = [seg[f"b{i + 1}"] for i in range(6)]
+        regressor.in_norm, regressor.out_norm = (
+            _Standardizer.frozen(seg[f"{side}_mean"], seg[f"{side}_scale"])
+            for side in ("in", "out")
+        )
+    except KeyError as exc:
+        raise ContainerFormatError(f"model container {path} has no segment {exc}") from exc
+    regressor.model = MlpModel(arch, weights, biases, seed=box.metadata.get("init_seed"))
+    return regressor
 
 
 def write_report(path, report):

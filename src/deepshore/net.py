@@ -99,9 +99,6 @@ class MlpModel:
             seed=self.seed,
         )
 
-    def parameter_count(self):
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
 
 def build_model(input_dim, output_dim, seed):
     """Seeded Gaussian initialization, std sqrt(2 / (fan_in + fan_out))."""
@@ -279,9 +276,6 @@ class VoxelDataset:
 
     def __len__(self):
         return self.inputs.shape[0]
-
-    def n_blocks(self):
-        return np.unique(self.block_ids).size
 
 
 def train(model, data, cfg, validation=None):

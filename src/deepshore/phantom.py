@@ -209,10 +209,6 @@ class PhantomDataset:
     def __len__(self):
         return self.signals.shape[0]
 
-    def fod(self, row):
-        """Ground-truth FOD of one row as a series object."""
-        return ShSeries(self.sh_order, self.fod_coeffs[row])
-
 
 def _draw_compartments(rng, cfg):
     n_fibers = int(rng.integers(1, cfg.max_fibers + 1))

@@ -6,9 +6,11 @@ input side, and spherical-harmonic or q-space-basis coefficients of the
 FOD on the output side. For every evaluation fold the scale is optimized
 on training blocks only and then frozen for fitting the test rows, so no
 information leaks across the split; the same block discipline applies to
-the network folds. Predictions are mapped back to sphere functions,
-exponentiated out of log space, refit as spherical harmonics and scored
-with the angular correlation coefficient against the ground truth.
+the network folds. A `FodRegressor` standardizes and trains on each
+fold's training rows; its predictions are mapped back to sphere
+functions, exponentiated out of log space, refit as spherical harmonics
+and scored with the angular correlation coefficient against the ground
+truth. The `train` and `predict` commands use the same regressor.
 """
 
 import functools
@@ -78,16 +80,8 @@ class EvalReport:
     config: dict
 
     def to_dict(self):
-        return {
-            "subcase": self.subcase,
-            "acc": [float(v) for v in self.acc],
-            "median": self.median,
-            "mean": self.mean,
-            "row_index": [int(r) for r in self.row_index],
-            "folds": self.folds,
-            "audit": self.audit,
-            "config": self.config,
-        }
+        return {**vars(self), "acc": [float(v) for v in self.acc],
+                "row_index": [int(r) for r in self.row_index]}
 
 
 def fod_directions(cfg):
@@ -147,6 +141,13 @@ class _Standardizer:
             raise InvalidArgumentError("cannot standardize all-constant coefficients")
         self.scale = np.maximum(spread, floor * reference)
 
+    @classmethod
+    def frozen(cls, mean, scale):
+        """A standardizer with a stored mean and scale."""
+        norm = cls.__new__(cls)
+        norm.mean, norm.scale = mean, scale
+        return norm
+
     def forward(self, values):
         return (values - self.mean) / self.scale
 
@@ -154,18 +155,111 @@ class _Standardizer:
         return values * self.scale + self.mean
 
 
+def fod_targets(fod_coeffs, sh_order, target_kind, zeta, cfg, log=True):
+    """The network targets of SH FODs: each FOD sampled on the fixed
+    direction set, clamp-logged (unless `log` is false) and fitted as SH
+    at cfg.sh_order ("sh") or as a q-space series at scale `zeta` on the
+    single shell cfg.fod_bvalue ("shore")."""
+    dirs = fod_directions(cfg)
+    values = fod_coeffs @ sh.eval_sh_basis(dirs, sh_order).T
+    if log:
+        values = clamp_log(values, cfg.nonneg)
+    if target_kind == "sh":
+        return sh.fit_sh_many(values, dirs, cfg.sh_order, ridge=0.0)
+    fod_scheme = shore.QSpaceSamples(np.full(len(dirs), cfg.fod_bvalue), dirs)
+    return shore.fit_shore_many(values, fod_scheme, cfg.shore, zeta)
+
+
 def _predicted_fod_sh(pred_coeffs, target_kind, dirs, cfg, zeta, out_degree):
     """Map predicted log-domain coefficients to linear-space SH series."""
     if target_kind == "shore":
-        fod_scheme = shore.QSpaceSamples(
-            np.full(len(dirs), cfg.fod_bvalue), dirs
-        )
+        fod_scheme = shore.QSpaceSamples(np.full(len(dirs), cfg.fod_bvalue), dirs)
         design = shore.shore_design_matrix(fod_scheme, cfg.shore.radial_order, zeta)
         log_values = pred_coeffs @ design.T
     else:
         log_values = pred_coeffs @ sh.eval_sh_basis(dirs, cfg.sh_order).T
     amplitudes = exp_restore(log_values)
-    return sh.fit_sh_many(amplitudes, dirs, out_degree, ridge=0.0), amplitudes
+    if np.any(amplitudes <= 0):
+        raise InvalidArgumentError("restored FOD amplitudes must be positive")
+    return sh.fit_sh_many(amplitudes, dirs, out_degree, ridge=0.0)
+
+
+# the PipelineConfig fields that the map from network outputs to FODs reads
+_FOD_MAP_FIELDS = ("fod_bvalue", "direction_seed", "n_fod_directions",
+                   "direction_iterations", "sh_order")
+
+
+class FodRegressor:
+    """A network from signal coefficients to linear-space SH FODs, with the
+    standardizers of its inputs and targets and the FOD map: the target kind
+    ("shore" or "sh"; None when the targets are not log-domain FOD
+    coefficients, which leaves nothing to map), the scale `zeta`, from `cfg`
+    the radial order, FOD shell, FOD direction set and SH order of "sh"
+    targets, and the SH order `out_degree` of the FODs returned."""
+
+    def __init__(self, target_kind=None, zeta=None, cfg=None, out_degree=None):
+        self.target_kind = target_kind
+        self.zeta = zeta
+        self.cfg = cfg
+        self.out_degree = out_degree
+        self.model = self.in_norm = self.out_norm = None
+
+    def description(self):
+        """The FOD map as plain values (None without one)."""
+        if self.target_kind is None:
+            return None
+        return {"target_kind": self.target_kind, "zeta": float(self.zeta),
+                "radial_order": self.cfg.shore.radial_order, "out_sh_order": self.out_degree,
+                **{name: getattr(self.cfg, name) for name in _FOD_MAP_FIELDS}}
+
+    @classmethod
+    def from_description(cls, values):
+        """An unfitted regressor with the FOD map of a `description`."""
+        if not values or values.get("target_kind") is None:
+            return cls()
+        cfg = PipelineConfig(shore=ShoreFitConfig(radial_order=values["radial_order"]),
+                             **{name: values[name] for name in _FOD_MAP_FIELDS})
+        return cls(values["target_kind"], values["zeta"], cfg, values["out_sh_order"])
+
+    def fit(self, inputs, targets, block_ids, train_cfg, seed, nested):
+        """Standardize on these rows and train a network seeded by `seed`;
+        with `nested`, the first of train_cfg.k_folds block-aware inner folds
+        (split seed `seed` + 1) is the validation data. Returns the per-epoch
+        training loss and the number of rows fitted."""
+        self.in_norm = _Standardizer(inputs)
+        self.out_norm = _Standardizer(targets)
+        inputs_n = self.in_norm.forward(inputs)
+        targets_n = self.out_norm.forward(targets)
+        data = net.VoxelDataset(inputs_n, targets_n, block_ids)
+
+        fit_rows = np.arange(len(data))
+        validation = None
+        if nested:
+            fit_rows, val_rows = net.kfold_split(data, train_cfg.k_folds, seed=seed + 1)[0]
+            validation = (inputs_n[val_rows], targets_n[val_rows])
+
+        model = net.build_model(inputs.shape[1], targets.shape[1], seed=seed)
+        self.model, history = net.train(
+            model,
+            net.VoxelDataset(inputs_n[fit_rows], targets_n[fit_rows], block_ids[fit_rows]),
+            train_cfg,
+            validation=validation,
+        )
+        return history, len(fit_rows)
+
+    def predict_fod_sh(self, inputs):
+        """SH FOD coefficients (degree out_degree), one row per input row."""
+        if self.target_kind is None:
+            raise InvalidArgumentError("regressor targets are not log-domain FOD coefficients")
+        if inputs.shape[1:] != (self.model.input_dim,):
+            raise InvalidArgumentError(
+                f"got inputs of shape {inputs.shape} for a model of {self.model.input_dim} inputs"
+            )
+        predictions = self.out_norm.inverse(net.forward(self.model, self.in_norm.forward(inputs)))
+        return _predicted_fod_sh(
+            predictions, self.target_kind, fod_directions(self.cfg), self.cfg, self.zeta,
+            self.out_degree,
+        )
 
 
 def run_subcase_experiment(cfg, dataset):
@@ -181,20 +275,12 @@ def run_subcase_experiment(cfg, dataset):
     lin_signals = dataset.signals[:, mask]
     log_signals = clamp_log(lin_signals, cfg.nonneg)
 
-    dirs = fod_directions(cfg)
-    fod_values = dataset.fod_coeffs @ sh.eval_sh_basis(dirs, dataset.sh_order).T
-    log_fod = clamp_log(fod_values, cfg.nonneg)
-    fod_scheme = shore.QSpaceSamples(np.full(len(dirs), cfg.fod_bvalue), dirs)
-
     carrier = net.VoxelDataset(dataset.signals, dataset.fod_coeffs, dataset.block_ids)
     splits = net.kfold_split(carrier, cfg.eval_folds, seed=cfg.train.seed)
     limit = len(splits) if cfg.max_folds is None else min(cfg.max_folds, len(splits))
 
     zeta0 = cfg.zeta0 if cfg.zeta0 is not None else shore.default_zeta0(sub_samples)
-    all_acc = []
-    all_rows = []
-    folds = []
-    audit_folds = []
+    all_acc, all_rows, folds, audit_folds = [], [], [], []
     for fold_index, (train_rows, test_rows) in enumerate(splits[:limit]):
         train_blocks = np.unique(dataset.block_ids[train_rows])
         test_blocks = np.unique(dataset.block_ids[test_rows])
@@ -216,52 +302,16 @@ def run_subcase_experiment(cfg, dataset):
             zeta = zeta0
 
         inputs = shore.fit_shore_many(log_signals, sub_samples, cfg.shore, zeta)
-        if target_kind == "sh":
-            targets = sh.fit_sh_many(log_fod, dirs, cfg.sh_order, ridge=0.0)
-        else:
-            targets = shore.fit_shore_many(log_fod, fod_scheme, cfg.shore, zeta)
-
-        in_norm = _Standardizer(inputs[train_rows])
-        out_norm = _Standardizer(targets[train_rows])
-        inputs_n = in_norm.forward(inputs)
-        targets_n = out_norm.forward(targets)
-
-        fit_rows = train_rows
-        validation = None
-        if cfg.nested:
-            inner_carrier = net.VoxelDataset(
-                inputs_n[train_rows], targets_n[train_rows], dataset.block_ids[train_rows]
-            )
-            inner = net.kfold_split(
-                inner_carrier, cfg.train.k_folds,
-                seed=_fold_seed(cfg.train.seed, fold_index) + 1,
-            )
-            inner_fit, inner_val = inner[0]
-            fit_rows = train_rows[inner_fit]
-            validation = (inputs_n[train_rows[inner_val]], targets_n[train_rows[inner_val]])
-
-        model = net.build_model(
-            inputs.shape[1], targets.shape[1], seed=_fold_seed(cfg.train.seed, fold_index)
+        targets = fod_targets(dataset.fod_coeffs, dataset.sh_order, target_kind, zeta, cfg)
+        regressor = FodRegressor(target_kind, zeta, cfg, dataset.sh_order)
+        history, n_fit_rows = regressor.fit(
+            inputs[train_rows], targets[train_rows], dataset.block_ids[train_rows],
+            cfg.train, _fold_seed(cfg.train.seed, fold_index), cfg.nested,
         )
-        trained, history = net.train(
-            model,
-            net.VoxelDataset(
-                inputs_n[fit_rows], targets_n[fit_rows], dataset.block_ids[fit_rows]
-            ),
-            cfg.train,
-            validation=validation,
+        fold_acc = sh.acc_many(
+            regressor.predict_fod_sh(inputs[test_rows]), dataset.fod_coeffs[test_rows],
+            dataset.sh_order,
         )
-
-        predictions = out_norm.inverse(net.forward(trained, inputs_n[test_rows]))
-        pred_sh, amplitudes = _predicted_fod_sh(
-            predictions, target_kind, dirs, cfg, zeta, dataset.sh_order
-        )
-        if np.any(amplitudes <= 0):
-            raise InvalidArgumentError("restored FOD amplitudes must be positive")
-        fold_acc = np.array([
-            sh.acc(sh.ShSeries(dataset.sh_order, pred_sh[i]), dataset.fod(row))
-            for i, row in enumerate(test_rows)
-        ])
 
         all_acc.append(fold_acc)
         all_rows.append(test_rows)
@@ -273,7 +323,7 @@ def run_subcase_experiment(cfg, dataset):
             "optimized": optimize_scale,
             "n_train_blocks": int(train_blocks.size),
             "n_test_blocks": int(test_blocks.size),
-            "n_fit_rows": int(len(fit_rows)),
+            "n_fit_rows": n_fit_rows,
             "epochs_run": int(len(history)),
             "final_train_loss": float(history[-1]),
             "acc_median": median,
@@ -311,8 +361,7 @@ def compare_subcases(dataset, configs):
         raise InvalidArgumentError("need at least one pipeline config")
     reports = [run_subcase_experiment(cfg, dataset) for cfg in configs]
 
-    comparisons = []
-    raw_p = []
+    comparisons, raw_p = [], []
     for i in range(len(reports)):
         for j in range(i + 1, len(reports)):
             a, b = reports[i], reports[j]

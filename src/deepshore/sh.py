@@ -60,10 +60,6 @@ class ShSeries:
         self.max_degree = max_degree
         self.coeffs = c
 
-    def degree_mask(self, min_degree):
-        degrees, _ = sh_degree_order_table(self.max_degree)
-        return degrees >= min_degree
-
     def __repr__(self):
         return f"ShSeries(max_degree={self.max_degree})"
 
@@ -187,16 +183,32 @@ def acc(u, v):
         raise InvalidArgumentError(
             f"degree mismatch: {u.max_degree} vs {v.max_degree}"
         )
-    mask = u.degree_mask(2)
-    uu = u.coeffs[mask]
-    vv = v.coeffs[mask]
-    nu = np.linalg.norm(uu)
-    nv = np.linalg.norm(vv)
-    if nu == 0.0 or nv == 0.0:
-        raise UndefinedCorrelationError(
-            "angular correlation undefined: no coefficients of degree >= 2"
+    return float(acc_many(u.coeffs[None], v.coeffs[None], u.max_degree)[0])
+
+
+def _row_dots(a, b):
+    """Dot product of each row pair, each row through one BLAS ddot."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def acc_many(pred, truth, max_degree):
+    """`acc` of each row pair of two coefficient matrices, bitwise equal to
+    calling it row by row: the rows are copied C-contiguous, because BLAS
+    can round the dot of a strided row differently."""
+    if pred.shape != truth.shape or pred.shape[1:] != (sh_coeff_count(max_degree),):
+        raise InvalidArgumentError(
+            f"coefficient shapes {pred.shape} and {truth.shape} do not fit degree {max_degree}"
         )
-    return float(uu @ vv / (nu * nv))
+    aniso = sh_degree_order_table(max_degree)[0] >= 2
+    u, v = (np.ascontiguousarray(m[:, aniso], dtype=float) for m in (pred, truth))
+    nu, nv = np.sqrt(_row_dots(u, u)), np.sqrt(_row_dots(v, v))
+    flat = (nu == 0.0) | (nv == 0.0)
+    if flat.any():
+        raise UndefinedCorrelationError(
+            f"angular correlation undefined: row {int(np.argmax(flat))} has no "
+            "coefficients of degree >= 2"
+        )
+    return _row_dots(u, v) / (nu * nv)
 
 
 def rotate_sh(series, rotation, resample_dirs):

@@ -390,27 +390,3 @@ def optimize_zeta(signals, samples, cfg, zeta0, *, max_iterations=100,
 
     return float(np.exp(best_t))
 
-
-def sh_fod_to_shore(fod, dirs, zeta, cfg, bvalue=2000.0):
-    """Re-express a spherical-harmonic sphere function in the q-space basis.
-
-    Samples the function on the fixed direction set, places every sample
-    on the single shell `bvalue` (2000 s/mm^2 by default), and fits the
-    expansion at the given scale. Single-shell systems are rank deficient
-    in the radial index, so the fit requires the regularization constants
-    to be positive.
-    """
-    if bvalue <= 0:
-        raise InvalidArgumentError("bvalue must be positive")
-    values = sh.sample_sh(fod, dirs)
-    samples = QSpaceSamples(np.full(len(dirs), float(bvalue)), dirs)
-    return fit_shore(values, samples, cfg, zeta)
-
-
-def shore_to_sh(series, dirs, bvalue, max_degree):
-    """Spherical-harmonic fit of an expansion restricted to one shell."""
-    if bvalue <= 0:
-        raise InvalidArgumentError("bvalue must be positive")
-    samples = QSpaceSamples(np.full(len(dirs), float(bvalue)), dirs)
-    values = reconstruct_signal(series, samples)
-    return sh.fit_sh(values, dirs, max_degree, ridge=0.0)

@@ -69,10 +69,6 @@ class Rotation:
         m.flags.writeable = False
         self.matrix = m
 
-    def compose(self, other):
-        """Rotation equivalent to applying `other` first, then `self`."""
-        return Rotation(self.matrix @ other.matrix)
-
     def inverse(self):
         return Rotation(self.matrix.T)
 

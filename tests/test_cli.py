@@ -8,7 +8,15 @@ import pytest
 
 from deepshore import cli, net, phantom, pipeline, shore
 from deepshore.cli import build_parser, run_cli
-from deepshore.io import read_container, read_coeffs, read_dataset, read_report, write_dataset
+from deepshore.io import (
+    read_coeffs,
+    read_container,
+    read_dataset,
+    read_model,
+    read_report,
+    write_container,
+    write_dataset,
+)
 from deepshore.nonneg import NonNegConfig
 
 
@@ -123,7 +131,9 @@ class TestFodToShoreCommand:
 
 
 class TestTrainPredictEvaluate:
-    def test_full_command_chain(self, tmp_path):
+    @pytest.fixture()
+    def chain(self, tmp_path):
+        """The README chain up to a trained model: (dataset, inputs, model) paths."""
         data = make_phantom(tmp_path, voxels=8, rotations=5, seed=3)
         inputs = tmp_path / "x.dsc"
         targets = tmp_path / "y.dsc"
@@ -136,13 +146,67 @@ class TestTrainPredictEvaluate:
         assert run_cli(["train", "--inputs", str(inputs), "--targets", str(targets),
                         "--epochs", "3", "--batch-size", "16", "--seed", "0",
                         "--out", str(model), "--report", str(tmp_path / "t.json")]) == 0
+        return data, inputs, model
+
+    def test_full_command_chain(self, tmp_path, chain):
+        data, inputs, model = chain
         preds = tmp_path / "p.dsc"
         assert run_cli(["predict", "--model", str(model), "--inputs", str(inputs),
                         "--out", str(preds)]) == 0
-        coeffs, _ = read_coeffs(preds)
-        assert coeffs.shape == (48, 50)
+        coeffs, meta = read_coeffs(preds)
+        assert coeffs.shape == (48, 45)
+        assert meta["representation"] == "sh" and meta["sh_order"] == 8
         history = read_report(tmp_path / "t.json")["loss_history"]
         assert len(history) == 3
+        report = tmp_path / "acc.json"
+        assert run_cli(["evaluate", "--pred", str(preds), "--truth", str(data),
+                        "--report", str(report)]) == 0
+        acc = np.array(read_report(report)["acc"])
+        assert acc.shape == (48,) and np.all(np.isfinite(acc))
+
+    def test_train_standardizes_and_predict_matches_the_regressor(self, tmp_path, chain):
+        _, inputs, model = chain
+        regressor = read_model(model)
+        x, x_meta = read_coeffs(inputs)
+        targets, target_meta = read_coeffs(tmp_path / "y.dsc")
+        # the standardizers are the training rows' own, to f32 round-off
+        assert np.allclose(regressor.out_norm.mean, targets.mean(axis=0), rtol=1e-6, atol=1e-6)
+        assert np.allclose(regressor.in_norm.mean, x.mean(axis=0), rtol=1e-6, atol=1e-6)
+
+        # the same training in memory gives the container's FODs to f32 round-off
+        in_memory = pipeline.FodRegressor.from_description(target_meta)
+        in_memory.fit(x, targets, x_meta["block_ids"],
+                      net.TrainConfig(epochs=3, batch_size=16, seed=0), 0, nested=False)
+        preds = tmp_path / "p.dsc"
+        assert run_cli(["predict", "--model", str(model), "--inputs", str(inputs),
+                        "--out", str(preds)]) == 0
+        fods, _ = read_coeffs(preds)
+        expected = in_memory.predict_fod_sh(x)
+        assert np.allclose(fods, expected, rtol=1e-5, atol=1e-6 * np.abs(expected).max())
+
+    def test_predict_rejects_a_model_without_fod_targets(self, tmp_path, capsys):
+        data = make_phantom(tmp_path, voxels=4, rotations=5, seed=9)
+        coeffs = tmp_path / "c.dsc"
+        model = tmp_path / "m.dsc"
+        assert run_cli(["fit-shore", "--in", str(data), "--zeta", "1500", "--log",
+                        "--out", str(coeffs)]) == 0
+        assert run_cli(["train", "--inputs", str(coeffs), "--targets", str(coeffs),
+                        "--epochs", "2", "--batch-size", "8", "--out", str(model)]) == 0
+        code = run_cli(["predict", "--model", str(model), "--inputs", str(coeffs),
+                        "--out", str(tmp_path / "p.dsc")])
+        assert code == 2
+        assert str(model) in capsys.readouterr().err
+
+    def test_predict_rejects_a_model_without_standardizers(self, tmp_path, chain, capsys):
+        _, inputs, model = chain
+        box = read_container(model)
+        kept = [(name, values) for name, values in box.segments.items()
+                if not name.endswith(("_mean", "_scale"))]
+        write_container(model, "model", kept, box.metadata)
+        code = run_cli(["predict", "--model", str(model), "--inputs", str(inputs),
+                        "--out", str(tmp_path / "p.dsc")])
+        assert code == 2
+        assert str(model) in capsys.readouterr().err
 
     def test_evaluate_against_dataset_truth(self, tmp_path):
         data = make_phantom(tmp_path, voxels=6, rotations=4, seed=5)
@@ -229,6 +293,25 @@ class TestCrossvalCommand:
                         "--eval-folds", "3", "--epochs", "2",
                         "--report", str(tmp_path / "r.json")])
         assert code == 2
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("optimize-zeta", "shells", [3000, 9000]),
+    ("optimize-zeta", "withhold-b", "x"),
+    ("optimize-zeta", "lambda-n", "x"),
+    ("optimize-zeta", "zeta0", "abc"),
+    ("optimize-zeta", "seed", "x"),
+    ("crossval", "seed", "x"),
+    ("crossval", "max-folds", "x"),
+    ("crossval", "subcase", 5),
+], ids=str)
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, key, value):
+    data = make_phantom(tmp_path)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    code = run_cli(["--config", str(cfg_file), command, "--in", str(data)])
+    assert code == 1
+    assert repr(key) in capsys.readouterr().err
 
 
 class TestNonFiniteVoxel:

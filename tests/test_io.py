@@ -22,6 +22,7 @@ from deepshore.io import (
     write_report_container,
 )
 from deepshore.phantom import PhantomConfig
+from deepshore.pipeline import FodRegressor, PipelineConfig, _Standardizer
 
 
 @pytest.fixture()
@@ -129,22 +130,46 @@ class TestCoeffsModel:
 
     def test_model_roundtrip_predictions_match(self, tmp_path):
         path = tmp_path / "m.dsc"
-        model = build_model(50, 45, seed=5)
-        write_model(path, model)
+        regressor = small_regressor()
+        write_model(path, regressor)
         loaded = read_model(path)
         x = np.random.default_rng(2).standard_normal((3, 50))
         from deepshore import forward
 
-        # weights survive the f32 payload, predictions agree to f32 precision
-        assert np.allclose(forward(loaded, x), forward(model, x), atol=1e-4)
-        assert loaded.seed == model.seed
+        # weights and standardizers survive the f32 payload, predictions
+        # agree to f32 precision
+        assert np.allclose(forward(loaded.model, x), forward(regressor.model, x), atol=1e-4)
+        for side in ("in_norm", "out_norm"):
+            want, got = getattr(regressor, side), getattr(loaded, side)
+            assert np.allclose(got.mean, want.mean, rtol=1e-6)
+            assert np.allclose(got.scale, want.scale, rtol=1e-6)
+        assert loaded.model.seed == regressor.model.seed
+        assert loaded.description() == regressor.description()
+        assert loaded.cfg.shore.radial_order == 6 and loaded.zeta == 700.0
+
+    def test_model_without_fod_map_roundtrips(self, tmp_path):
+        path = tmp_path / "m.dsc"
+        regressor = small_regressor(FodRegressor())
+        write_model(path, regressor)
+        assert read_model(path).target_kind is None
 
     def test_model_rewrite_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.dsc", tmp_path / "b.dsc"
-        model = build_model(50, 45, seed=5)
-        write_model(a, model)
-        write_model(b, model)
+        regressor = small_regressor()
+        write_model(a, regressor)
+        write_model(b, regressor)
         assert a.read_bytes() == b.read_bytes()
+
+
+def small_regressor(regressor=None):
+    """An untrained regressor with standardizers and the default FOD map."""
+    if regressor is None:
+        regressor = FodRegressor("shore", 700.0, PipelineConfig(), 8)
+    rng = np.random.default_rng(3)
+    regressor.model = build_model(50, 50, seed=5)
+    regressor.in_norm = _Standardizer(rng.standard_normal((20, 50)))
+    regressor.out_norm = _Standardizer(rng.standard_normal((20, 50)) * 3.0 + 1.0)
+    return regressor
 
 
 class TestReports:

@@ -106,7 +106,8 @@ class TestBuildModel:
         model = build_model(50, 45, seed=0)
         dims = [w.shape for w in model.weights]
         assert dims == [(50, 400), (400, 45), (45, 200), (200, 45), (45, 200), (200, 45)]
-        assert model.parameter_count() == expected_parameter_count(50, 45)
+        count = sum(w.size + b.size for w, b in zip(model.weights, model.biases))
+        assert count == expected_parameter_count(50, 45)
 
     def test_output_width_fifty_variant(self):
         model = build_model(50, 50, seed=0)

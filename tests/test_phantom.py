@@ -5,6 +5,7 @@ from deepshore import (
     DirectionSet,
     InvalidArgumentError,
     QSpaceSamples,
+    ShSeries,
     TensorCompartment,
     acc,
     add_rician_noise,
@@ -197,10 +198,10 @@ class TestGenerateDataset:
             rng = np.random.default_rng(stream)
             _draw_compartments(rng, cfg)
             rotations = [haar_rotation(rng) for _ in range(cfg.rotations_per_voxel)]
-            base = data.fod(voxel * 4)
+            base = ShSeries(data.sh_order, data.fod_coeffs[voxel * 4])
             for k, rot in enumerate(rotations):
                 expected = rotate_sh(base, rot, dirs200)
-                stored = data.fod(voxel * 4 + 1 + k)
+                stored = ShSeries(data.sh_order, data.fod_coeffs[voxel * 4 + 1 + k])
                 assert acc(expected, stored) >= 0.999
 
     def test_noiseless_signals_bounded_by_one(self):

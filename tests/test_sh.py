@@ -7,6 +7,7 @@ from deepshore import (
     SingularSystemError,
     UndefinedCorrelationError,
     acc,
+    acc_many,
     eval_sh_basis,
     fit_sh,
     generate_uniform_directions,
@@ -135,6 +136,53 @@ class TestAcc:
     def test_degree_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
             acc(random_series(8, seed=9), random_series(4, seed=9))
+
+
+def reference_acc(u, v):
+    """ACC of one series pair as computed before `acc_many`: a masked copy
+    of each coefficient vector, one dot and two norms."""
+    degrees, _ = sh_degree_order_table(u.max_degree)
+    uu = u.coeffs[degrees >= 2]
+    vv = v.coeffs[degrees >= 2]
+    nu = np.linalg.norm(uu)
+    nv = np.linalg.norm(vv)
+    if nu == 0.0 or nv == 0.0:
+        raise UndefinedCorrelationError("no coefficients of degree >= 2")
+    return float(uu @ vv / (nu * nv))
+
+
+class TestAccMany:
+    @pytest.fixture()
+    def pairs(self):
+        rng = np.random.default_rng(11)
+        pred = rng.standard_normal((500, 45)) * rng.uniform(1e-3, 1e3, (500, 1))
+        truth = rng.standard_normal((500, 45))
+        return pred, truth
+
+    def test_bitwise_equal_to_per_row_acc(self, pairs):
+        pred, truth = pairs
+        expected = np.array([reference_acc(ShSeries(8, p), ShSeries(8, t))
+                             for p, t in zip(pred, truth)])
+        assert acc_many(pred, truth, 8).tobytes() == expected.tobytes()
+        # fit_sh_many returns a transposed (column-major) matrix
+        assert acc_many(np.asfortranarray(pred), truth, 8).tobytes() == expected.tobytes()
+        single = np.array([acc(ShSeries(8, p), ShSeries(8, t)) for p, t in zip(pred, truth)])
+        assert single.tobytes() == expected.tobytes()
+
+    def test_row_without_anisotropy_is_named(self, pairs):
+        pred, truth = pairs
+        truth[7, 1:] = 0.0
+        with pytest.raises(UndefinedCorrelationError):
+            reference_acc(ShSeries(8, pred[7]), ShSeries(8, truth[7]))
+        with pytest.raises(UndefinedCorrelationError, match="row 7"):
+            acc_many(pred, truth, 8)
+
+    def test_shape_mismatch_rejected(self, pairs):
+        pred, truth = pairs
+        with pytest.raises(InvalidArgumentError):
+            acc_many(pred[:, :28], truth[:, :28], 8)
+        with pytest.raises(InvalidArgumentError):
+            acc_many(pred, truth[:10], 8)
 
 
 class TestRotateSh:

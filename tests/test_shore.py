@@ -16,12 +16,11 @@ from deepshore import (
     optimize_zeta,
     radial_basis_g,
     reconstruct_signal,
-    sh_fod_to_shore,
     shore_coeff_count,
     shore_design_matrix,
-    shore_to_sh,
 )
 from deepshore import phantom, sh, shore
+from deepshore.pipeline import PipelineConfig, _predicted_fod_sh, fod_directions, fod_targets
 from deepshore.shore import (
     default_zeta0,
     fit_shore_many,
@@ -417,54 +416,67 @@ def watson_fod(kappa, seed, max_degree=8):
 
 
 class TestFodConversions:
-    def test_roundtrip_on_representable_fod(self, dirs200):
-        # degree-8 content cannot survive a radial-order-6 expansion, so the
-        # round-trip oracle uses an FOD band-limited to the shared degrees
-        fod = watson_fod(20.0, seed=1)
-        degrees, _ = sh.sh_degree_order_table(8)
-        coeffs = fod.coeffs.copy()
-        coeffs[degrees == 8] = 0.0
-        fod6 = sh.ShSeries(8, coeffs)
-        series = sh_fod_to_shore(fod6, dirs200, 700.0, ShoreFitConfig())
-        back = shore_to_sh(series, dirs200, 2000.0, 8)
-        assert sh.acc(back, fod6) >= 0.99
+    """SH FODs to network targets (`fod_targets`) and back (`_predicted_fod_sh`)."""
+
+    # the fixed direction set of these tests is the dirs200 fixture
+    cfg = PipelineConfig(n_fod_directions=200, direction_seed=3, direction_iterations=300)
+
+    def round_trip(self, coeffs, dirs):
+        targets = fod_targets(coeffs[None], 8, "shore", 700.0, self.cfg)
+        return _predicted_fod_sh(targets, "shore", dirs, self.cfg, 700.0, 8)[0]
+
+    def test_roundtrip_on_representable_fod(self, quad_16_33):
+        # a Watson density's log is a degree-2 function, which the log-domain
+        # targets hold exactly; kappa 2 keeps its degree-8 truncation positive
+        axis = np.array([1.0, 2.0, 2.0]) / 3.0
+        density = np.exp(2.0 * (quad_16_33.nodes.vectors @ axis) ** 2)
+        density /= quad_16_33.integrate(density)
+        coeffs = (sh.eval_sh_basis(quad_16_33.nodes, 8) * quad_16_33.weights[:, None]).T @ density
+        back = self.round_trip(coeffs, fod_directions(self.cfg))
+        assert sh.acc(sh.ShSeries(8, back), sh.ShSeries(8, coeffs)) >= 0.9999
+        assert np.max(np.abs(back - coeffs)) < 1e-3 * np.max(np.abs(coeffs))
 
     def test_roundtrip_hits_degree_truncation_ceiling(self, dirs200):
+        # linear-domain targets: a radial-order-6 series on one shell keeps
+        # exactly the SH content of degree <= 6
         fod = watson_fod(20.0, seed=2)
         degrees, _ = sh.sh_degree_order_table(8)
         energy = fod.coeffs**2
         aniso = energy[degrees >= 2].sum()
         ceiling = np.sqrt(1.0 - energy[degrees == 8].sum() / aniso)
-        series = sh_fod_to_shore(fod, dirs200, 700.0, ShoreFitConfig())
-        back = shore_to_sh(series, dirs200, 2000.0, 8)
-        assert sh.acc(back, fod) == pytest.approx(ceiling, abs=1e-3)
+        targets = fod_targets(fod.coeffs[None], 8, "shore", 700.0, self.cfg, log=False)
+        fod_scheme = QSpaceSamples(np.full(len(dirs200), 2000.0), dirs200)
+        values = targets @ shore_design_matrix(fod_scheme, 6, 700.0).T
+        back = sh.fit_sh_many(values, dirs200, 8)
+        assert sh.acc_many(back, fod.coeffs[None], 8)[0] == pytest.approx(ceiling, abs=1e-3)
 
     def test_isotropic_fod_stays_constant(self, dirs200):
         coeffs = np.zeros(45)
         coeffs[0] = 1.0 / (2.0 * np.sqrt(np.pi))
-        series = sh_fod_to_shore(sh.ShSeries(8, coeffs), dirs200, 700.0, ShoreFitConfig())
-        samples = QSpaceSamples(np.full(len(dirs200), 2000.0), dirs200)
-        values = reconstruct_signal(series, samples)
-        assert np.max(np.abs(values - values[0])) < 1e-6
+        back = self.round_trip(coeffs, dirs200)
+        assert back[0] == pytest.approx(coeffs[0], rel=1e-9)
+        assert np.max(np.abs(back[1:])) < 1e-9
 
     def test_underdetermined_single_shell_without_regularization(self):
-        few = generate_uniform_directions(40, seed=4, iterations=100)
+        cfg = PipelineConfig(n_fod_directions=40, direction_seed=4, direction_iterations=100,
+                             shore=ShoreFitConfig(lambda_n=0.0, lambda_l=0.0))
         fod = watson_fod(20.0, seed=3)
         with pytest.raises(SingularSystemError):
-            sh_fod_to_shore(fod, few, 700.0, ShoreFitConfig(lambda_n=0.0, lambda_l=0.0))
+            fod_targets(fod.coeffs[None], 8, "shore", 700.0, cfg)
 
     def test_zero_series_converts_to_zero_sh(self, dirs200):
-        series = ShoreSeries(6, 700.0, np.zeros(50))
-        back = shore_to_sh(series, dirs200, 2000.0, 8)
-        assert np.max(np.abs(back.coeffs)) < 1e-12
+        # a zero log-domain series is the FOD of amplitude one everywhere:
+        # no SH content above degree 0
+        back = _predicted_fod_sh(np.zeros((1, 50)), "shore", dirs200, self.cfg, 700.0, 8)[0]
+        assert back[0] == pytest.approx(2.0 * np.sqrt(np.pi), rel=1e-12)
+        assert np.max(np.abs(back[1:])) < 1e-12
 
     def test_direction_set_invariance(self, dirs200):
         other = generate_uniform_directions(200, seed=77, iterations=300)
         fod = watson_fod(20.0, seed=5)
-        series = sh_fod_to_shore(fod, dirs200, 700.0, ShoreFitConfig())
-        a = shore_to_sh(series, dirs200, 2000.0, 8)
-        b = shore_to_sh(series, other, 2000.0, 8)
-        assert sh.acc(a, b) >= 0.999
+        a = self.round_trip(fod.coeffs, dirs200)
+        b = self.round_trip(fod.coeffs, other)
+        assert sh.acc(sh.ShSeries(8, a), sh.ShSeries(8, b)) >= 0.999
 
 
 class TestQSpaceSamples:

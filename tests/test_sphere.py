@@ -222,12 +222,6 @@ class TestRotateDirections:
         after = after_set.vectors @ after_set.vectors.T
         assert np.max(np.abs(before - after)) < 1e-12
 
-    def test_rotations_compose(self, dirs100):
-        r1, r2 = random_rotation(1), random_rotation(2)
-        two_steps = rotate_directions(rotate_directions(dirs100, r1), r2)
-        one_step = rotate_directions(dirs100, r2.compose(r1))
-        assert np.max(np.abs(two_steps.vectors - one_step.vectors)) < 1e-12
-
 
 class TestGaussSphereQuadrature:
     def test_integrates_constant(self):
