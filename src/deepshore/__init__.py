@@ -51,7 +51,6 @@ from .pipeline import (
 from .sh import (
     ShSeries,
     acc,
-    acc_many,
     eval_sh_basis,
     fit_sh,
     rotate_sh,

@@ -44,11 +44,6 @@ def _timestamp():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _write_report(path, command, **fields):
-    io.write_report(path, {"kind": "report", "command": command, "created_at": _timestamp(),
-                           **fields})
-
-
 def _parse_shells(text):
     if not isinstance(text, str):
         raise TypeError("expected a comma-separated string of b-values")
@@ -74,10 +69,23 @@ def _load_config_file(path):
     return cfg
 
 
+def _is_kind(value, kind):
+    """Whether a flag or config-file value may fill a field of type `kind`:
+    a bool field takes only true or false, an int field only an integral
+    number, a float field any number, and a bool is no number here."""
+    if kind not in (bool, int, float):
+        return True
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    if kind is int:
+        return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    return isinstance(value, (int, float))
+
+
 def _resolve(args, file_cfg, key, default, cast=None):
     """Flag > config file > default. A flag or file value is passed
-    through `cast`; a value that `cast` rejects is a usage error naming
-    the key."""
+    through `cast`, which for bool, int and float first checks `_is_kind`;
+    a value that `cast` rejects is a usage error naming the key."""
     value = getattr(args, key.replace("-", "_"), None)
     if value is None:
         value = file_cfg.get(key)
@@ -86,6 +94,8 @@ def _resolve(args, file_cfg, key, default, cast=None):
     if cast is None:
         return value
     try:
+        if not _is_kind(value, cast):
+            raise TypeError(f"expected {cast.__name__}")
         return cast(value)
     except (TypeError, ValueError) as exc:
         raise _UsageError(f"bad value {value!r} for {key!r}: {exc}")
@@ -117,15 +127,10 @@ def _require_input(path):
     return path
 
 
-def _flags(parser, kind, *names):
-    """Optional flags of one type; an absent flag reads as None (`_resolve`)."""
-    for name in names:
-        parser.add_argument(f"--{name}", type=kind, default=None)
-
-
 def _add_common_shore_flags(parser):
-    _flags(parser, int, "radial-order")
-    _flags(parser, float, "lambda-n", "lambda-l")
+    parser.add_argument("--radial-order", type=int, default=None)
+    parser.add_argument("--lambda-n", type=float, default=None)
+    parser.add_argument("--lambda-l", type=float, default=None)
     parser.add_argument("--shells", type=str, default=None,
                         help="comma-separated b-values to keep")
     parser.add_argument("--withhold-b", type=float, default=None,
@@ -145,7 +150,7 @@ def _train_config(args, file_cfg):
 
 
 def _log_domain(args, file_cfg):
-    return bool(_resolve(args, file_cfg, "log", False))
+    return _resolve(args, file_cfg, "log", False, bool)
 
 
 def build_parser():
@@ -155,46 +160,60 @@ def build_parser():
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("phantom", help="generate a synthetic dataset")
-    _flags(p, int, "voxels", "rotations", "seed", "dirs-per-shell", "max-fibers")
-    _flags(p, float, "snr", "kappa")
-    _flags(p, str, "shells")
+    p.add_argument("--voxels", type=int, default=None)
+    p.add_argument("--rotations", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--shells", type=str, default=None)
+    p.add_argument("--dirs-per-shell", type=int, default=None)
+    p.add_argument("--snr", type=float, default=None)
     p.add_argument("--noiseless", action="store_true", default=None)
+    p.add_argument("--kappa", type=float, default=None)
+    p.add_argument("--max-fibers", type=int, default=None)
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("fit-shore", help="fit signal coefficients")
     p.add_argument("--in", dest="infile", type=str, required=True)
-    _flags(p, float, "zeta", "zeta0", "nonneg-epsilon")
+    p.add_argument("--zeta", type=float, default=None)
     p.add_argument("--optimize", action="store_true", default=None,
                    help="optimize the scale on the input data first")
+    p.add_argument("--zeta0", type=float, default=None)
     p.add_argument("--log", action="store_true", default=None,
                    help="clamp-log the signals before fitting")
+    p.add_argument("--nonneg-epsilon", type=float, default=None)
     _add_common_shore_flags(p)
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("optimize-zeta", help="data-optimize the scale parameter")
     p.add_argument("--in", dest="infile", type=str, required=True)
-    _flags(p, float, "zeta0", "nonneg-epsilon")
-    _flags(p, int, "subsample", "seed")
+    p.add_argument("--zeta0", type=float, default=None)
     p.add_argument("--log", action="store_true", default=None)
+    p.add_argument("--nonneg-epsilon", type=float, default=None)
+    p.add_argument("--subsample", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     _add_common_shore_flags(p)
     p.add_argument("--report", type=str, default=None)
 
     p = sub.add_parser("fod-to-shore", help="re-express ground-truth FODs in the signal basis")
     p.add_argument("--in", dest="infile", type=str, required=True)
     p.add_argument("--zeta", type=float, required=True)
-    _flags(p, float, "fod-b", "nonneg-epsilon")
-    _flags(p, int, "dirs-seed", "n-dirs")
+    p.add_argument("--fod-b", type=float, default=None)
+    p.add_argument("--dirs-seed", type=int, default=None)
+    p.add_argument("--n-dirs", type=int, default=None)
     p.add_argument("--log", action="store_true", default=None)
+    p.add_argument("--nonneg-epsilon", type=float, default=None)
     _add_common_shore_flags(p)
     p.add_argument("--out", type=str, required=True)
 
-    train_flags = {int: ("epochs", "batch-size", "seed"),
-                   float: ("learning-rate", "momentum", "stabilizer", "decay")}
     p = sub.add_parser("train", help="train the residual network on coefficient pairs")
     p.add_argument("--inputs", type=str, required=True)
     p.add_argument("--targets", type=str, required=True)
-    for kind, names in train_flags.items():
-        _flags(p, kind, *names)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--learning-rate", type=float, default=None)
+    p.add_argument("--momentum", type=float, default=None)
+    p.add_argument("--stabilizer", type=float, default=None)
+    p.add_argument("--decay", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", type=str, required=True)
     p.add_argument("--report", type=str, default=None)
 
@@ -213,12 +232,24 @@ def build_parser():
     p.add_argument("--subcase", action="append", default=None,
                    choices=sorted(pipeline.SUBCASES),
                    help="repeatable; runs and compares all named subcases")
-    for kind, names in train_flags.items():
-        _flags(p, kind, *names)
-    _flags(p, int, "eval-folds", "max-folds", "k-folds", "patience", "zeta-subsample",
-           "dirs-seed", "sh-order")
-    _flags(p, float, "nonneg-epsilon", "zeta0", "fod-b")
+    p.add_argument("--eval-folds", type=int, default=None)
+    p.add_argument("--max-folds", type=int, default=None)
+    p.add_argument("--k-folds", type=int, default=None)
+    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--batch-size", type=int, default=None)
+    p.add_argument("--learning-rate", type=float, default=None)
+    p.add_argument("--momentum", type=float, default=None)
+    p.add_argument("--stabilizer", type=float, default=None)
+    p.add_argument("--decay", type=float, default=None)
     p.add_argument("--early-stop", action="store_true", default=None)
+    p.add_argument("--patience", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--nonneg-epsilon", type=float, default=None)
+    p.add_argument("--zeta0", type=float, default=None)
+    p.add_argument("--zeta-subsample", type=int, default=None)
+    p.add_argument("--dirs-seed", type=int, default=None)
+    p.add_argument("--fod-b", type=float, default=None)
+    p.add_argument("--sh-order", type=int, default=None)
     p.add_argument("--flat", action="store_true", default=None,
                    help="train on all training rows, no inner validation fold")
     _add_common_shore_flags(p)
@@ -233,7 +264,7 @@ def _cmd_phantom(args, file_cfg):
     shells = _resolve(args, file_cfg, "shells", None, _parse_shells)
     if shells:
         fixed["shell_bvalues"] = shells
-    if _resolve(args, file_cfg, "noiseless", False):
+    if _resolve(args, file_cfg, "noiseless", False, bool):
         fixed["snr"] = float("inf")
     cfg = _from_flags(phantom.PhantomConfig, args, file_cfg, {
         "directions_per_shell": "dirs-per-shell", "kappa_watson": "kappa", "snr": "snr",
@@ -272,7 +303,8 @@ def _cmd_fit_shore(args, file_cfg):
     cfg = _shore_config(args, file_cfg)
     zeta = _resolve(args, file_cfg, "zeta", None, float)
     # an explicit scale wins over "optimize" in the config file
-    if args.optimize or (zeta is None and file_cfg.get("optimize")):
+    optimize = _resolve(args, file_cfg, "optimize", False, bool)
+    if args.optimize or (zeta is None and optimize):
         zeta = shore.optimize_zeta(signals, samples, cfg, _zeta0(args, file_cfg, samples))
     if zeta is None:
         raise _UsageError("fit-shore needs --zeta or --optimize")
@@ -301,15 +333,17 @@ def _cmd_optimize_zeta(args, file_cfg):
     )
     print(f"{zeta:.10g}")
     if args.report:
-        _write_report(
-            args.report, "optimize-zeta",
-            zeta0=zeta0,
-            zeta=zeta,
-            shells=[float(s) for s in samples.shells()],
+        io.write_report(args.report, {
+            "kind": "report",
+            "command": "optimize-zeta",
+            "created_at": _timestamp(),
+            "zeta0": zeta0,
+            "zeta": zeta,
+            "shells": [float(s) for s in samples.shells()],
             **dataclasses.asdict(cfg),
-            log_domain=_log_domain(args, file_cfg),
-            source=args.infile,
-        )
+            "log_domain": _log_domain(args, file_cfg),
+            "source": args.infile,
+        })
     return 0
 
 
@@ -319,9 +353,8 @@ def _cmd_fod_to_shore(args, file_cfg):
         "direction_seed": "dirs-seed", "n_fod_directions": "n-dirs", "fod_bvalue": "fod-b",
     }, shore=_shore_config(args, file_cfg), nonneg=_nonneg_config(args, file_cfg))
     log_domain = _log_domain(args, file_cfg)
-    coeffs = pipeline.fod_targets(
-        dataset.fod_coeffs, dataset.sh_order, "shore", args.zeta, cfg, log=log_domain
-    )
+    values = pipeline.fod_samples(dataset.fod_coeffs, dataset.sh_order, cfg, log=log_domain)
+    coeffs = pipeline.fod_targets(values, "shore", args.zeta, cfg)
     io.write_coeffs(args.out, coeffs, {
         "representation": "shore",
         **pipeline.FodRegressor("shore", args.zeta, cfg, dataset.sh_order).description(),
@@ -336,29 +369,37 @@ def _cmd_fod_to_shore(args, file_cfg):
 def _cmd_train(args, file_cfg):
     inputs, in_meta = io.read_coeffs(_require_input(args.inputs))
     targets, tgt_meta = io.read_coeffs(_require_input(args.targets))
-    block_ids = in_meta.get("block_ids", np.arange(inputs.shape[0]))
+    if inputs.shape[0] != targets.shape[0]:
+        raise InvalidArgumentError(
+            f"row mismatch: {inputs.shape[0]} inputs vs {targets.shape[0]} targets"
+        )
+    block_ids = in_meta.get("block_ids")
+    if block_ids is None:
+        block_ids = np.arange(inputs.shape[0])
     cfg = _train_config(args, file_cfg)
     # only log-domain FOD targets (fod-to-shore --log) give a model that
     # predict can map back to FODs
     regressor = pipeline.FodRegressor.from_description(
-        tgt_meta if tgt_meta.get("log_domain") else None
+        tgt_meta if tgt_meta.get("log_domain") else None, args.targets
     )
     history, _ = regressor.fit(inputs, targets, block_ids, cfg, cfg.seed, nested=False)
     io.write_model(args.out, regressor)
     print(f"trained {cfg.epochs} epochs, final loss {history[-1]:.6e}")
     if args.report:
-        _write_report(
-            args.report, "train",
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            learning_rate=cfg.learning_rate,
-            seed=cfg.seed,
-            loss_history=[float(v) for v in history],
-            inputs=args.inputs,
-            targets=args.targets,
-            input_meta={k: v for k, v in in_meta.items() if k != "block_ids"},
-            target_meta={k: v for k, v in tgt_meta.items() if k != "block_ids"},
-        )
+        io.write_report(args.report, {
+            "kind": "report",
+            "command": "train",
+            "created_at": _timestamp(),
+            "epochs": cfg.epochs,
+            "batch_size": cfg.batch_size,
+            "learning_rate": cfg.learning_rate,
+            "seed": cfg.seed,
+            "loss_history": [float(v) for v in history],
+            "inputs": args.inputs,
+            "targets": args.targets,
+            "input_meta": {k: v for k, v in in_meta.items() if k != "block_ids"},
+            "target_meta": {k: v for k, v in tgt_meta.items() if k != "block_ids"},
+        })
     return 0
 
 
@@ -385,25 +426,33 @@ def _cmd_predict(args, file_cfg):
 def _cmd_evaluate(args, file_cfg):
     pred, pred_meta = io.read_coeffs(_require_input(args.pred))
     truth_path = _require_input(args.truth)
-    if io.read_container(truth_path).kind == "dataset":
+    box = io.read_container(truth_path)
+    if box.kind == "dataset":
         dataset = io.read_dataset(truth_path)
-        truth, order = dataset.fod_coeffs, dataset.sh_order
+        truth = dataset.fod_coeffs
+        order = dataset.sh_order
     else:
         truth, truth_meta = io.read_coeffs(truth_path)
         order = int(truth_meta.get("sh_order", pipeline.PipelineConfig().sh_order))
-    acc = sh.acc_many(pred, truth, order)
+    if pred.shape != truth.shape:
+        raise InvalidArgumentError(
+            f"prediction shape {pred.shape} does not match truth {truth.shape}"
+        )
+    acc = sh.acc(pred, truth, order)
     median, mean = stats.summarize_report(acc)
     print(f"ACC over {acc.size} voxels: median {median:.4f}, mean {mean:.4f}")
     if args.report:
-        _write_report(
-            args.report, "evaluate",
-            acc=[float(v) for v in acc],
-            median=median,
-            mean=mean,
-            pred=args.pred,
-            truth=args.truth,
-            pred_meta={k: v for k, v in pred_meta.items() if k != "block_ids"},
-        )
+        io.write_report(args.report, {
+            "kind": "report",
+            "command": "evaluate",
+            "created_at": _timestamp(),
+            "acc": [float(v) for v in acc],
+            "median": median,
+            "mean": mean,
+            "pred": args.pred,
+            "truth": args.truth,
+            "pred_meta": {k: v for k, v in pred_meta.items() if k != "block_ids"},
+        })
     return 0
 
 
@@ -421,7 +470,7 @@ def _cmd_crossval(args, file_cfg):
         nonneg=_nonneg_config(args, file_cfg),
         train=_train_config(args, file_cfg),
         max_folds=_resolve(args, file_cfg, "max-folds", None, int),
-        nested=not _resolve(args, file_cfg, "flat", False),
+        nested=not _resolve(args, file_cfg, "flat", False, bool),
         zeta0=_resolve(args, file_cfg, "zeta0", None, float),
         zeta_subsample=_resolve(args, file_cfg, "zeta-subsample", None),
     )
@@ -446,9 +495,10 @@ def _cmd_crossval(args, file_cfg):
         io.write_report(args.report, document)
     if args.out:
         slim = json.loads(json.dumps(document))
+        acc_arrays = []
+        for name, method in slim["methods"].items():
+            acc_arrays.append((f"acc_{name}", np.array(method.pop("acc"))))
         slim.pop("created_at")
-        acc_arrays = [(f"acc_{name}", np.array(method.pop("acc")))
-                      for name, method in slim["methods"].items()]
         io.write_report_container(args.out, slim, acc_arrays)
     return 0
 
@@ -475,7 +525,10 @@ def run_cli(argv):
             return 1
         file_cfg = _load_config_file(args.config)
         return _HANDLERS[args.command](args, file_cfg)
-    except (_UsageError, FileNotFoundError) as exc:
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DeepShoreError, np.linalg.LinAlgError) as exc:

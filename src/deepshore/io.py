@@ -11,7 +11,7 @@ with sorted keys so identical content produces identical bytes.
 
 import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,8 +122,21 @@ def write_dataset(path, dataset):
         "n_blocks": int(np.unique(dataset.block_ids).size),
     }
     if dataset.config is not None:
-        snr = dataset.config.snr
-        meta["phantom_config"] = {**asdict(dataset.config), "snr": "inf" if np.isinf(snr) else snr}
+        cfg = dataset.config
+        meta["phantom_config"] = {
+            "shell_bvalues": list(cfg.shell_bvalues),
+            "directions_per_shell": cfg.directions_per_shell,
+            "crossing_angle_range": list(cfg.crossing_angle_range),
+            "fraction_range": list(cfg.fraction_range),
+            "kappa_watson": cfg.kappa_watson,
+            "snr": "inf" if np.isinf(cfg.snr) else cfg.snr,
+            "n_voxels": cfg.n_voxels,
+            "rotations_per_voxel": cfg.rotations_per_voxel,
+            "max_fibers": cfg.max_fibers,
+            "sh_order": cfg.sh_order,
+            "seed": cfg.seed,
+            "eigenvalues": list(cfg.eigenvalues),
+        }
     segments = [
         ("signals", dataset.signals),
         ("bvalues", dataset.samples.bvalues),
@@ -219,7 +232,7 @@ def read_model(path):
         raise ContainerFormatError(f"expected a model container, got {box.kind!r}")
     arch = MlpArchitecture(int(box.metadata["input_dim"]), int(box.metadata["output_dim"]))
     seg = {name: values.astype(float) for name, values in box.segments.items()}
-    regressor = FodRegressor.from_description(box.metadata.get("target"))
+    regressor = FodRegressor.from_description(box.metadata.get("target"), path)
     try:
         weights = [seg[f"w{i + 1}"] for i in range(6)]
         biases = [seg[f"b{i + 1}"] for i in range(6)]

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import net, sh, shore, stats
-from .errors import InvalidArgumentError
+from .errors import ContainerFormatError, InvalidArgumentError
 from .net import TrainConfig
 from .nonneg import NonNegConfig, clamp_log, exp_restore
 from .shore import ShoreFitConfig
@@ -80,8 +80,16 @@ class EvalReport:
     config: dict
 
     def to_dict(self):
-        return {**vars(self), "acc": [float(v) for v in self.acc],
-                "row_index": [int(r) for r in self.row_index]}
+        return {
+            "subcase": self.subcase,
+            "acc": [float(v) for v in self.acc],
+            "median": self.median,
+            "mean": self.mean,
+            "row_index": [int(r) for r in self.row_index],
+            "folds": self.folds,
+            "audit": self.audit,
+            "config": self.config,
+        }
 
 
 def fod_directions(cfg):
@@ -155,15 +163,18 @@ class _Standardizer:
         return values * self.scale + self.mean
 
 
-def fod_targets(fod_coeffs, sh_order, target_kind, zeta, cfg, log=True):
-    """The network targets of SH FODs: each FOD sampled on the fixed
-    direction set, clamp-logged (unless `log` is false) and fitted as SH
-    at cfg.sh_order ("sh") or as a q-space series at scale `zeta` on the
+def fod_samples(fod_coeffs, sh_order, cfg, log=True):
+    """SH FODs of degree `sh_order` sampled on the fixed FOD direction set,
+    one row per FOD, clamp-logged unless `log` is false."""
+    values = fod_coeffs @ sh.eval_sh_basis(fod_directions(cfg), sh_order).T
+    return clamp_log(values, cfg.nonneg) if log else values
+
+
+def fod_targets(values, target_kind, zeta, cfg):
+    """The network targets of `fod_samples` rows: fitted as SH at
+    cfg.sh_order ("sh") or as a q-space series at scale `zeta` on the
     single shell cfg.fod_bvalue ("shore")."""
     dirs = fod_directions(cfg)
-    values = fod_coeffs @ sh.eval_sh_basis(dirs, sh_order).T
-    if log:
-        values = clamp_log(values, cfg.nonneg)
     if target_kind == "sh":
         return sh.fit_sh_many(values, dirs, cfg.sh_order, ridge=0.0)
     fod_scheme = shore.QSpaceSamples(np.full(len(dirs), cfg.fod_bvalue), dirs)
@@ -173,7 +184,9 @@ def fod_targets(fod_coeffs, sh_order, target_kind, zeta, cfg, log=True):
 def _predicted_fod_sh(pred_coeffs, target_kind, dirs, cfg, zeta, out_degree):
     """Map predicted log-domain coefficients to linear-space SH series."""
     if target_kind == "shore":
-        fod_scheme = shore.QSpaceSamples(np.full(len(dirs), cfg.fod_bvalue), dirs)
+        fod_scheme = shore.QSpaceSamples(
+            np.full(len(dirs), cfg.fod_bvalue), dirs
+        )
         design = shore.shore_design_matrix(fod_scheme, cfg.shore.radial_order, zeta)
         log_values = pred_coeffs @ design.T
     else:
@@ -213,13 +226,23 @@ class FodRegressor:
                 **{name: getattr(self.cfg, name) for name in _FOD_MAP_FIELDS}}
 
     @classmethod
-    def from_description(cls, values):
-        """An unfitted regressor with the FOD map of a `description`."""
+    def from_description(cls, values, source):
+        """An unfitted regressor with the FOD map of a `description` read
+        from the file `source`, which an incomplete description names."""
         if not values or values.get("target_kind") is None:
             return cls()
-        cfg = PipelineConfig(shore=ShoreFitConfig(radial_order=values["radial_order"]),
-                             **{name: values[name] for name in _FOD_MAP_FIELDS})
-        return cls(values["target_kind"], values["zeta"], cfg, values["out_sh_order"])
+        try:
+            if values["target_kind"] not in ("shore", "sh"):
+                raise ValueError(f"unknown target kind {values['target_kind']!r}")
+            cfg = PipelineConfig(
+                shore=ShoreFitConfig(radial_order=int(values["radial_order"])),
+                **{name: type(getattr(PipelineConfig, name))(values[name])
+                   for name in _FOD_MAP_FIELDS},
+            )
+            return cls(values["target_kind"], float(values["zeta"]), cfg,
+                       int(values["out_sh_order"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ContainerFormatError(f"{source}: bad FOD map description: {exc!r}") from exc
 
     def fit(self, inputs, targets, block_ids, train_cfg, seed, nested):
         """Standardize on these rows and train a network seeded by `seed`;
@@ -280,7 +303,16 @@ def run_subcase_experiment(cfg, dataset):
     limit = len(splits) if cfg.max_folds is None else min(cfg.max_folds, len(splits))
 
     zeta0 = cfg.zeta0 if cfg.zeta0 is not None else shore.default_zeta0(sub_samples)
-    all_acc, all_rows, folds, audit_folds = [], [], [], []
+    all_acc = []
+    all_rows = []
+    folds = []
+    audit_folds = []
+    log_fod = fod_samples(dataset.fod_coeffs, dataset.sh_order, cfg)
+    # the targets change between folds only with a q-space fit at each
+    # fold's optimized scale
+    fold_targets = optimize_scale and target_kind == "shore"
+    if not fold_targets:
+        targets = fod_targets(log_fod, target_kind, zeta0, cfg)
     for fold_index, (train_rows, test_rows) in enumerate(splits[:limit]):
         train_blocks = np.unique(dataset.block_ids[train_rows])
         test_blocks = np.unique(dataset.block_ids[test_rows])
@@ -302,13 +334,14 @@ def run_subcase_experiment(cfg, dataset):
             zeta = zeta0
 
         inputs = shore.fit_shore_many(log_signals, sub_samples, cfg.shore, zeta)
-        targets = fod_targets(dataset.fod_coeffs, dataset.sh_order, target_kind, zeta, cfg)
+        if fold_targets:
+            targets = fod_targets(log_fod, target_kind, zeta, cfg)
         regressor = FodRegressor(target_kind, zeta, cfg, dataset.sh_order)
         history, n_fit_rows = regressor.fit(
             inputs[train_rows], targets[train_rows], dataset.block_ids[train_rows],
             cfg.train, _fold_seed(cfg.train.seed, fold_index), cfg.nested,
         )
-        fold_acc = sh.acc_many(
+        fold_acc = sh.acc(
             regressor.predict_fod_sh(inputs[test_rows]), dataset.fod_coeffs[test_rows],
             dataset.sh_order,
         )
@@ -361,7 +394,8 @@ def compare_subcases(dataset, configs):
         raise InvalidArgumentError("need at least one pipeline config")
     reports = [run_subcase_experiment(cfg, dataset) for cfg in configs]
 
-    comparisons, raw_p = [], []
+    comparisons = []
+    raw_p = []
     for i in range(len(reports)):
         for j in range(i + 1, len(reports)):
             a, b = reports[i], reports[j]

@@ -171,19 +171,26 @@ def sample_sh(series, dirs):
     return eval_sh_basis(dirs, series.max_degree) @ series.coeffs
 
 
-def acc(u, v):
+def acc(u, v, max_degree=None):
     """Angular correlation coefficient of two expansions, in [-1, 1].
 
     Normalized inner product of the coefficients with the isotropic
     (degree-0) term excluded, so adding a constant to either function
     does not change the result. Both series must carry some anisotropic
     content or the correlation is undefined.
+
+    `u` and `v` are two ShSeries. With `max_degree` they are instead two
+    coefficient matrices holding one series of that degree per row, and
+    the result holds the correlation of each row pair, bitwise equal to
+    that of the rows taken one at a time as series.
     """
-    if u.max_degree != v.max_degree:
-        raise InvalidArgumentError(
-            f"degree mismatch: {u.max_degree} vs {v.max_degree}"
-        )
-    return float(acc_many(u.coeffs[None], v.coeffs[None], u.max_degree)[0])
+    if max_degree is None:
+        if u.max_degree != v.max_degree:
+            raise InvalidArgumentError(
+                f"degree mismatch: {u.max_degree} vs {v.max_degree}"
+            )
+        return float(_row_acc(u.coeffs[None], v.coeffs[None], u.max_degree)[0])
+    return _row_acc(np.asarray(u), np.asarray(v), max_degree)
 
 
 def _row_dots(a, b):
@@ -191,10 +198,10 @@ def _row_dots(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def acc_many(pred, truth, max_degree):
-    """`acc` of each row pair of two coefficient matrices, bitwise equal to
-    calling it row by row: the rows are copied C-contiguous, because BLAS
-    can round the dot of a strided row differently."""
+def _row_acc(pred, truth, max_degree):
+    """ACC of each row pair of two coefficient matrices. The rows are
+    copied C-contiguous, because BLAS can round the dot of a strided row
+    differently."""
     if pred.shape != truth.shape or pred.shape[1:] != (sh_coeff_count(max_degree),):
         raise InvalidArgumentError(
             f"coefficient shapes {pred.shape} and {truth.shape} do not fit degree {max_degree}"

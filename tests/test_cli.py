@@ -14,6 +14,7 @@ from deepshore.io import (
     read_dataset,
     read_model,
     read_report,
+    write_coeffs,
     write_container,
     write_dataset,
 )
@@ -174,7 +175,7 @@ class TestTrainPredictEvaluate:
         assert np.allclose(regressor.in_norm.mean, x.mean(axis=0), rtol=1e-6, atol=1e-6)
 
         # the same training in memory gives the container's FODs to f32 round-off
-        in_memory = pipeline.FodRegressor.from_description(target_meta)
+        in_memory = pipeline.FodRegressor.from_description(target_meta, "y.dsc")
         in_memory.fit(x, targets, x_meta["block_ids"],
                       net.TrainConfig(epochs=3, batch_size=16, seed=0), 0, nested=False)
         preds = tmp_path / "p.dsc"
@@ -207,6 +208,18 @@ class TestTrainPredictEvaluate:
                         "--out", str(tmp_path / "p.dsc")])
         assert code == 2
         assert str(model) in capsys.readouterr().err
+
+    def test_train_rejects_targets_with_an_incomplete_fod_map(self, tmp_path, chain, capsys):
+        _, inputs, _ = chain
+        targets = tmp_path / "y.dsc"
+        coeffs, meta = read_coeffs(targets)
+        del meta["zeta"]
+        write_coeffs(targets, coeffs, meta)
+        code = run_cli(["train", "--inputs", str(inputs), "--targets", str(targets),
+                        "--epochs", "2", "--out", str(tmp_path / "m2.dsc")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(targets) in err and "zeta" in err
 
     def test_evaluate_against_dataset_truth(self, tmp_path):
         data = make_phantom(tmp_path, voxels=6, rotations=4, seed=5)
@@ -304,6 +317,11 @@ class TestCrossvalCommand:
     ("crossval", "seed", "x"),
     ("crossval", "max-folds", "x"),
     ("crossval", "subcase", 5),
+    ("crossval", "early-stop", "false"),
+    ("crossval", "flat", "false"),
+    ("crossval", "epochs", 2.5),
+    ("crossval", "eval-folds", True),
+    ("optimize-zeta", "log", 1),
 ], ids=str)
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, key, value):
     data = make_phantom(tmp_path)

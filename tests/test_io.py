@@ -153,6 +153,16 @@ class TestCoeffsModel:
         write_model(path, regressor)
         assert read_model(path).target_kind is None
 
+    def test_model_with_incomplete_fod_map_names_the_file(self, tmp_path):
+        path = tmp_path / "m.dsc"
+        write_model(path, small_regressor())
+        box = read_container(path)
+        del box.metadata["target"]["zeta"]
+        write_container(path, "model", list(box.segments.items()), box.metadata)
+        with pytest.raises(ContainerFormatError, match="zeta") as err:
+            read_model(path)
+        assert str(path) in str(err.value)
+
     def test_model_rewrite_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.dsc", tmp_path / "b.dsc"
         regressor = small_regressor()

@@ -7,7 +7,6 @@ from deepshore import (
     SingularSystemError,
     UndefinedCorrelationError,
     acc,
-    acc_many,
     eval_sh_basis,
     fit_sh,
     generate_uniform_directions,
@@ -139,8 +138,9 @@ class TestAcc:
 
 
 def reference_acc(u, v):
-    """ACC of one series pair as computed before `acc_many`: a masked copy
-    of each coefficient vector, one dot and two norms."""
+    """ACC of one series pair as computed before `acc` took coefficient
+    matrices: a masked copy of each coefficient vector, one dot and two
+    norms."""
     degrees, _ = sh_degree_order_table(u.max_degree)
     uu = u.coeffs[degrees >= 2]
     vv = v.coeffs[degrees >= 2]
@@ -151,7 +151,7 @@ def reference_acc(u, v):
     return float(uu @ vv / (nu * nv))
 
 
-class TestAccMany:
+class TestAccOfMatrices:
     @pytest.fixture()
     def pairs(self):
         rng = np.random.default_rng(11)
@@ -163,9 +163,9 @@ class TestAccMany:
         pred, truth = pairs
         expected = np.array([reference_acc(ShSeries(8, p), ShSeries(8, t))
                              for p, t in zip(pred, truth)])
-        assert acc_many(pred, truth, 8).tobytes() == expected.tobytes()
+        assert acc(pred, truth, 8).tobytes() == expected.tobytes()
         # fit_sh_many returns a transposed (column-major) matrix
-        assert acc_many(np.asfortranarray(pred), truth, 8).tobytes() == expected.tobytes()
+        assert acc(np.asfortranarray(pred), truth, 8).tobytes() == expected.tobytes()
         single = np.array([acc(ShSeries(8, p), ShSeries(8, t)) for p, t in zip(pred, truth)])
         assert single.tobytes() == expected.tobytes()
 
@@ -175,14 +175,14 @@ class TestAccMany:
         with pytest.raises(UndefinedCorrelationError):
             reference_acc(ShSeries(8, pred[7]), ShSeries(8, truth[7]))
         with pytest.raises(UndefinedCorrelationError, match="row 7"):
-            acc_many(pred, truth, 8)
+            acc(pred, truth, 8)
 
     def test_shape_mismatch_rejected(self, pairs):
         pred, truth = pairs
         with pytest.raises(InvalidArgumentError):
-            acc_many(pred[:, :28], truth[:, :28], 8)
+            acc(pred[:, :28], truth[:, :28], 8)
         with pytest.raises(InvalidArgumentError):
-            acc_many(pred, truth[:10], 8)
+            acc(pred, truth[:10], 8)
 
 
 class TestRotateSh:

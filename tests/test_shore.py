@@ -20,7 +20,13 @@ from deepshore import (
     shore_design_matrix,
 )
 from deepshore import phantom, sh, shore
-from deepshore.pipeline import PipelineConfig, _predicted_fod_sh, fod_directions, fod_targets
+from deepshore.pipeline import (
+    PipelineConfig,
+    _predicted_fod_sh,
+    fod_directions,
+    fod_samples,
+    fod_targets,
+)
 from deepshore.shore import (
     default_zeta0,
     fit_shore_many,
@@ -416,13 +422,14 @@ def watson_fod(kappa, seed, max_degree=8):
 
 
 class TestFodConversions:
-    """SH FODs to network targets (`fod_targets`) and back (`_predicted_fod_sh`)."""
+    """SH FODs to network targets (`fod_samples`, `fod_targets`) and back
+    (`_predicted_fod_sh`)."""
 
     # the fixed direction set of these tests is the dirs200 fixture
     cfg = PipelineConfig(n_fod_directions=200, direction_seed=3, direction_iterations=300)
 
     def round_trip(self, coeffs, dirs):
-        targets = fod_targets(coeffs[None], 8, "shore", 700.0, self.cfg)
+        targets = fod_targets(fod_samples(coeffs[None], 8, self.cfg), "shore", 700.0, self.cfg)
         return _predicted_fod_sh(targets, "shore", dirs, self.cfg, 700.0, 8)[0]
 
     def test_roundtrip_on_representable_fod(self, quad_16_33):
@@ -444,11 +451,12 @@ class TestFodConversions:
         energy = fod.coeffs**2
         aniso = energy[degrees >= 2].sum()
         ceiling = np.sqrt(1.0 - energy[degrees == 8].sum() / aniso)
-        targets = fod_targets(fod.coeffs[None], 8, "shore", 700.0, self.cfg, log=False)
+        samples = fod_samples(fod.coeffs[None], 8, self.cfg, log=False)
+        targets = fod_targets(samples, "shore", 700.0, self.cfg)
         fod_scheme = QSpaceSamples(np.full(len(dirs200), 2000.0), dirs200)
         values = targets @ shore_design_matrix(fod_scheme, 6, 700.0).T
         back = sh.fit_sh_many(values, dirs200, 8)
-        assert sh.acc_many(back, fod.coeffs[None], 8)[0] == pytest.approx(ceiling, abs=1e-3)
+        assert sh.acc(back, fod.coeffs[None], 8)[0] == pytest.approx(ceiling, abs=1e-3)
 
     def test_isotropic_fod_stays_constant(self, dirs200):
         coeffs = np.zeros(45)
@@ -462,7 +470,7 @@ class TestFodConversions:
                              shore=ShoreFitConfig(lambda_n=0.0, lambda_l=0.0))
         fod = watson_fod(20.0, seed=3)
         with pytest.raises(SingularSystemError):
-            fod_targets(fod.coeffs[None], 8, "shore", 700.0, cfg)
+            fod_targets(fod_samples(fod.coeffs[None], 8, cfg), "shore", 700.0, cfg)
 
     def test_zero_series_converts_to_zero_sh(self, dirs200):
         # a zero log-domain series is the FOD of amplitude one everywhere:
