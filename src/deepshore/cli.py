@@ -10,6 +10,8 @@ files, config-file values of the wrong type), 2 on data or numeric
 errors. Every command that writes a report or container echoes its
 resolved configuration and seeds so runs can be reproduced. A JSON
 config file can pre-set any flag; explicit flags win over the file.
+One file may serve every command, so a key of another command's flag is
+ignored, but a key that no command takes is a usage error.
 Numeric-library parallelism follows the BLAS library's own environment
 variables, such as OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before
 the process starts.
@@ -54,7 +56,15 @@ def _as_list(value):
     return [value] if isinstance(value, str) else list(value)
 
 
-def _load_config_file(path):
+def _config_keys(parser):
+    """The keys a config file may set: the long options of `parser` and its
+    subcommands, without dashes."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {opt[2:] for p in (parser, *sub.choices.values()) for a in p._actions
+            for opt in a.option_strings if opt.startswith("--") and a.dest != "help"}
+
+
+def _load_config_file(path, known_keys):
     if path is None:
         return {}
     try:
@@ -66,6 +76,9 @@ def _load_config_file(path):
         raise _UsageError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise _UsageError("config file must hold a JSON object")
+    unknown = sorted(set(cfg) - known_keys)
+    if unknown:
+        raise _UsageError(f"config file {path} sets {unknown}, which no command takes")
     return cfg
 
 
@@ -188,8 +201,6 @@ def build_parser():
     p.add_argument("--zeta0", type=float, default=None)
     p.add_argument("--log", action="store_true", default=None)
     p.add_argument("--nonneg-epsilon", type=float, default=None)
-    p.add_argument("--subsample", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
     _add_common_shore_flags(p)
     p.add_argument("--report", type=str, default=None)
 
@@ -246,7 +257,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--nonneg-epsilon", type=float, default=None)
     p.add_argument("--zeta0", type=float, default=None)
-    p.add_argument("--zeta-subsample", type=int, default=None)
     p.add_argument("--dirs-seed", type=int, default=None)
     p.add_argument("--fod-b", type=float, default=None)
     p.add_argument("--sh-order", type=int, default=None)
@@ -273,7 +283,7 @@ def _cmd_phantom(args, file_cfg):
     }, **fixed)
     dataset = phantom.generate_dataset(cfg)
     io.write_dataset(args.out, dataset)
-    base = args.out.rsplit(".", 1)[0]
+    base = os.path.splitext(args.out)[0]
     io.write_bvals_bvecs(base + ".bval", base + ".bvec", dataset.samples)
     print(f"wrote {len(dataset)} rows ({cfg.n_voxels} blocks) to {args.out}")
     return 0
@@ -326,11 +336,7 @@ def _cmd_optimize_zeta(args, file_cfg):
     _, samples, signals = _signal_inputs(args, file_cfg)
     cfg = _shore_config(args, file_cfg)
     zeta0 = _zeta0(args, file_cfg, samples)
-    zeta = shore.optimize_zeta(
-        signals, samples, cfg, zeta0,
-        subsample=_resolve(args, file_cfg, "subsample", None),
-        subsample_seed=_resolve(args, file_cfg, "seed", 0, int),
-    )
+    zeta = shore.optimize_zeta(signals, samples, cfg, zeta0)
     print(f"{zeta:.10g}")
     if args.report:
         io.write_report(args.report, {
@@ -472,7 +478,6 @@ def _cmd_crossval(args, file_cfg):
         max_folds=_resolve(args, file_cfg, "max-folds", None, int),
         nested=not _resolve(args, file_cfg, "flat", False, bool),
         zeta0=_resolve(args, file_cfg, "zeta0", None, float),
-        zeta_subsample=_resolve(args, file_cfg, "zeta-subsample", None),
     )
     configs = [dataclasses.replace(base, subcase=name) for name in subcases]
     reports, comparisons = pipeline.compare_subcases(dataset, configs)
@@ -523,7 +528,7 @@ def run_cli(argv):
         if args.command is None:
             parser.print_help(sys.stderr)
             return 1
-        file_cfg = _load_config_file(args.config)
+        file_cfg = _load_config_file(args.config, _config_keys(parser))
         return _HANDLERS[args.command](args, file_cfg)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,6 +59,15 @@ def write_container(path, kind, segments, metadata=None):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def _field(mapping, key, path, where, cast):
+    """`cast(mapping[key])`; a missing or malformed value is a
+    ContainerFormatError naming the file and the key."""
+    try:
+        return cast(mapping[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ContainerFormatError(f"{path}: {where} has no valid {key!r}: {exc!r}") from exc
+
+
 def read_container(path):
     """Read and validate a container file."""
     with open(path, "rb") as fh:
@@ -76,6 +85,8 @@ def read_container(path):
             header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ContainerFormatError(f"invalid header JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ContainerFormatError(f"{path}: header is a JSON {type(header).__name__}")
         kind = header.get("kind")
         if kind not in KINDS:
             raise ContainerFormatError(f"unknown container kind {kind!r}")
@@ -83,24 +94,29 @@ def read_container(path):
             raise ContainerFormatError(f"unsupported dtype {header.get('dtype')!r}")
         payload = fh.read()
 
+    metadata = header.get("meta", {})
+    entries = header.get("segments", [])
+    if not isinstance(metadata, dict) or not isinstance(entries, list):
+        raise ContainerFormatError(f"{path}: bad header 'meta' or 'segments'")
     segments = {}
     offset = 0
-    for entry in header.get("segments", []):
-        shape = tuple(int(s) for s in entry["shape"])
+    for index, entry in enumerate(entries):
+        name = _field(entry, "name", path, f"segment {index}", str)
+        shape = _field(entry, "shape", path, f"segment {index}", lambda v: tuple(map(int, v)))
         nbytes = int(np.prod(shape, dtype=np.int64)) * 4
         chunk = payload[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise ContainerFormatError(
-                f"segment {entry['name']!r} declares {nbytes} bytes, "
+                f"segment {name!r} declares {nbytes} bytes, "
                 f"only {len(chunk)} available"
             )
-        segments[entry["name"]] = np.frombuffer(chunk, dtype="<f4").reshape(shape)
+        segments[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape)
         offset += nbytes
     if offset != len(payload):
         raise ContainerFormatError(
             f"payload has {len(payload) - offset} undeclared trailing bytes"
         )
-    return Container(kind=kind, metadata=header.get("meta", {}), segments=segments)
+    return Container(kind=kind, metadata=metadata, segments=segments)
 
 
 def _block_id_segment(block_ids, path):
@@ -163,7 +179,7 @@ def read_dataset(path):
         signals=box.segments["signals"].astype(float),
         samples=samples,
         fod_coeffs=box.segments["fod_coeffs"].astype(float),
-        sh_order=int(box.metadata["sh_order"]),
+        sh_order=_field(box.metadata, "sh_order", path, "meta", int),
         block_ids=np.rint(box.segments["block_ids"]).astype(int),
         config=None,
     )
@@ -230,7 +246,8 @@ def read_model(path):
     box = read_container(path)
     if box.kind != "model":
         raise ContainerFormatError(f"expected a model container, got {box.kind!r}")
-    arch = MlpArchitecture(int(box.metadata["input_dim"]), int(box.metadata["output_dim"]))
+    arch = MlpArchitecture(*(_field(box.metadata, key, path, "meta", int)
+                             for key in ("input_dim", "output_dim")))
     seg = {name: values.astype(float) for name, values in box.segments.items()}
     regressor = FodRegressor.from_description(box.metadata.get("target"), path)
     try:

@@ -238,16 +238,14 @@ def _draw_compartments(rng, cfg):
     ]
 
 
-def generate_dataset(cfg, quad=None):
+def generate_dataset(cfg):
     """Generate the phantom: base voxels plus jointly rotated copies.
 
     Every source voxel contributes 1 + rotations_per_voxel rows sharing
     one block id. Per-voxel generator streams are spawned from the seed,
     so the output is deterministic and independent of generation order.
     """
-    if quad is None:
-        quad = gauss_sphere_quadrature(40, 81)
-    projector = FodProjector(quad, cfg.sh_order)
+    projector = FodProjector(gauss_sphere_quadrature(40, 81), cfg.sh_order)
     samples = build_acquisition(cfg)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.n_voxels)
 

@@ -50,7 +50,6 @@ class PipelineConfig:
     max_folds: int = None           # evaluate only the first folds when set
     nested: bool = True             # carve a validation fold out of training data
     zeta0: float = None             # None = median(b)/8 of the masked scheme
-    zeta_subsample: int = None
 
     def __post_init__(self):
         if self.subcase not in SUBCASES:
@@ -106,7 +105,12 @@ def _direction_set(n, seed, iterations):
     return generate_uniform_directions(n, seed, iterations)
 
 
-def shell_mask(samples, shells=None, withhold_b=None, tolerance=0.5):
+# a sample belongs to a shell when its b-value is within this of the shell's
+_SHELL_TOLERANCE = 0.5
+_STANDARDIZER_FLOOR = 0.05
+
+
+def shell_mask(samples, shells=None, withhold_b=None):
     """Boolean sample mask selecting the requested shells.
 
     `shells = None` keeps every shell; `withhold_b` then removes one.
@@ -117,9 +121,9 @@ def shell_mask(samples, shells=None, withhold_b=None, tolerance=0.5):
     else:
         mask = np.zeros(len(samples), dtype=bool)
         for s in shells:
-            mask |= np.abs(bvalues - float(s)) <= tolerance
+            mask |= np.abs(bvalues - float(s)) <= _SHELL_TOLERANCE
     if withhold_b is not None:
-        mask &= np.abs(bvalues - float(withhold_b)) > tolerance
+        mask &= np.abs(bvalues - float(withhold_b)) > _SHELL_TOLERANCE
     if not mask.any():
         raise InvalidArgumentError("shell selection matches no samples")
     return mask
@@ -134,10 +138,10 @@ class _Standardizer:
 
     Coefficient scales span several orders of magnitude, which RMSProp
     handles poorly; near-constant coefficients are floored at a fraction
-    of the largest spread so they are not amplified into noise.
+    of the median spread so they are not amplified into noise.
     """
 
-    def __init__(self, values, floor=0.05):
+    def __init__(self, values):
         self.mean = values.mean(axis=0)
         spread = values.std(axis=0)
         # floor against the median spread: a few inflated coefficients must
@@ -147,7 +151,7 @@ class _Standardizer:
             reference = float(spread.max())
         if reference <= 0.0:
             raise InvalidArgumentError("cannot standardize all-constant coefficients")
-        self.scale = np.maximum(spread, floor * reference)
+        self.scale = np.maximum(spread, _STANDARDIZER_FLOOR * reference)
 
     @classmethod
     def frozen(cls, mean, scale):
@@ -176,7 +180,7 @@ def fod_targets(values, target_kind, zeta, cfg):
     single shell cfg.fod_bvalue ("shore")."""
     dirs = fod_directions(cfg)
     if target_kind == "sh":
-        return sh.fit_sh_many(values, dirs, cfg.sh_order, ridge=0.0)
+        return sh.fit_sh_many(values, dirs, cfg.sh_order)
     fod_scheme = shore.QSpaceSamples(np.full(len(dirs), cfg.fod_bvalue), dirs)
     return shore.fit_shore_many(values, fod_scheme, cfg.shore, zeta)
 
@@ -194,7 +198,7 @@ def _predicted_fod_sh(pred_coeffs, target_kind, dirs, cfg, zeta, out_degree):
     amplitudes = exp_restore(log_values)
     if np.any(amplitudes <= 0):
         raise InvalidArgumentError("restored FOD amplitudes must be positive")
-    return sh.fit_sh_many(amplitudes, dirs, out_degree, ridge=0.0)
+    return sh.fit_sh_many(amplitudes, dirs, out_degree)
 
 
 # the PipelineConfig fields that the map from network outputs to FODs reads
@@ -325,11 +329,7 @@ def run_subcase_experiment(cfg, dataset):
         if optimize_scale:
             # the scale lives on the signal representation: optimize it on
             # the linear-space attenuations, then fit the log-space problem
-            zeta = shore.optimize_zeta(
-                lin_signals[train_rows], sub_samples, cfg.shore, zeta0,
-                subsample=cfg.zeta_subsample,
-                subsample_seed=_fold_seed(cfg.train.seed, fold_index),
-            )
+            zeta = shore.optimize_zeta(lin_signals[train_rows], sub_samples, cfg.shore, zeta0)
         else:
             zeta = zeta0
 

@@ -96,25 +96,26 @@ def eval_sh_basis(dirs, max_degree):
     return np.stack(cols, axis=1)
 
 
-def _solve_regularized(design, penalty_diag, rhs, guard):
+def _solve_regularized(design, penalty_diag, rhs):
     """Solve (X'X + s * diag(penalty)) c = X' rhs for one or many rhs columns.
 
     The penalty is scaled by the mean diagonal of X'X, which makes the
     regularization constants dimensionless: a constant of 1e-8 always
     means "1e-8 relative to the data term" regardless of how the basis
     normalization or the sampling scheme size the design columns.
-    `guard` enables the condition check used for unregularized fits.
+    Without a penalty the normal equations must be well conditioned
+    (condition number at most CONDITION_LIMIT).
     """
     normal = design.T @ design
-    if penalty_diag is not None:
-        normal = normal + float(np.mean(np.diag(normal))) * np.diag(penalty_diag)
-    if guard:
+    if penalty_diag is None:
         cond = np.linalg.cond(normal)
         if not np.isfinite(cond) or cond > CONDITION_LIMIT:
             raise SingularSystemError(
                 f"normal equations condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
                 "add regularization or more samples"
             )
+    else:
+        normal = normal + float(np.mean(np.diag(normal))) * np.diag(penalty_diag)
     try:
         factor = cho_factor(normal)
     except np.linalg.LinAlgError as exc:
@@ -132,13 +133,11 @@ def _check_finite_rows(values, what):
         )
 
 
-def fit_sh(values, dirs, max_degree, ridge=0.0):
-    """Least-squares fit of sphere samples, optionally Laplace-Beltrami damped.
+def fit_sh(values, dirs, max_degree):
+    """Least-squares fit of sphere samples.
 
-    Minimizes ``|B c - values|^2 + ridge * s * |diag(l(l+1)) c|^2`` with
-    s the mean diagonal of the normal matrix (so ridge is dimensionless).
-    With ridge 0 the normal equations must be well conditioned (limit
-    1e12), otherwise a SingularSystemError is raised.
+    Minimizes ``|B c - values|^2``. The normal equations must be well
+    conditioned (limit 1e12), otherwise a SingularSystemError is raised.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (len(dirs),):
@@ -146,24 +145,17 @@ def fit_sh(values, dirs, max_degree, ridge=0.0):
             f"got {values.shape[0] if values.ndim == 1 else values.shape} values "
             f"for {len(dirs)} directions"
         )
-    coeffs = fit_sh_many(values[None, :], dirs, max_degree, ridge)
+    coeffs = fit_sh_many(values[None, :], dirs, max_degree)
     return ShSeries(max_degree, coeffs[0])
 
 
-def fit_sh_many(values, dirs, max_degree, ridge=0.0):
+def fit_sh_many(values, dirs, max_degree):
     """Fit one series per row of `values`; returns the coefficient matrix."""
-    if ridge < 0:
-        raise InvalidArgumentError("ridge must be non-negative")
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(dirs):
         raise InvalidArgumentError("values must have shape (n_series, n_directions)")
     _check_finite_rows(values, "values")
-    basis = eval_sh_basis(dirs, max_degree)
-    degrees, _ = sh_degree_order_table(max_degree)
-    lb = degrees * (degrees + 1)
-    penalty = ridge * lb.astype(float) ** 2 if ridge > 0 else None
-    coeffs = _solve_regularized(basis, penalty, values.T, guard=(ridge == 0.0))
-    return coeffs.T
+    return _solve_regularized(eval_sh_basis(dirs, max_degree), None, values.T).T
 
 
 def sample_sh(series, dirs):
@@ -232,4 +224,4 @@ def rotate_sh(series, rotation, resample_dirs):
         )
     pulled_back = rotate_directions(resample_dirs, rotation.inverse())
     values = sample_sh(series, pulled_back)
-    return fit_sh(values, resample_dirs, series.max_degree, ridge=0.0)
+    return fit_sh(values, resample_dirs, series.max_degree)

@@ -18,7 +18,6 @@ constant between q^2 and b would be unidentifiable and is absorbed
 into zeta.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,11 @@ from .errors import (
 )
 from .sh import _check_even, _check_finite_rows, _solve_regularized
 from .sphere import DirectionSet
+
+_MAX_ITERATIONS = 100
+_GRADIENT_STEP = 1e-4
+_TOLERANCE = 1e-6
+_PROBE_SPREAD = 1.5
 
 
 class QSpaceSamples:
@@ -229,10 +233,7 @@ def fit_shore_many(signals, samples, cfg, zeta):
         raise InvalidArgumentError("signals must have shape (n_voxels, n_samples)")
     _check_finite_rows(signals, "signal")
     design = shore_design_matrix(samples, cfg.radial_order, zeta)
-    penalty = _penalty_diag(cfg)
-    guard = penalty is None
-    coeffs = _solve_regularized(design, penalty, signals.T, guard=guard)
-    return coeffs.T
+    return _solve_regularized(design, _penalty_diag(cfg), signals.T).T
 
 
 def reconstruct_signal(series, samples):
@@ -257,37 +258,32 @@ def _mean_refit_residual(signals, design, penalty, signals_t=None):
     """
     if signals_t is None:
         signals_t = np.ascontiguousarray(signals.T)
-    coeffs = _solve_regularized(design, penalty, signals.T, guard=penalty is None)
+    coeffs = _solve_regularized(design, penalty, signals.T)
     residual = design @ coeffs
     residual -= signals_t
     residual *= residual
     return float(np.mean(residual))
 
 
-def optimize_zeta(signals, samples, cfg, zeta0, *, max_iterations=100,
-                  gradient_step=1e-4, tolerance=1e-6, probe_spread=1.5,
-                  subsample=None, subsample_seed=0):
+def optimize_zeta(signals, samples, cfg, zeta0):
     """Data-optimized scale: minimize the mean squared refit residual.
 
     Every objective evaluation refits all coefficients at the candidate
-    scale. A small deterministic probe grid around `zeta0` (out to
-    `probe_spread` e-folds either way) picks the starting point, then
-    the search runs over log(zeta) with a quasi-Newton (secant
-    curvature) update, central-difference gradients of `gradient_step`
-    in log zeta, and a backtracking line search that only ever accepts
-    descent. The returned scale therefore never has a worse objective
-    than `zeta0`. The gradient and curvature at an accepted point feed
-    the secant update and are reused as the next iteration's, so no scale
-    is evaluated twice. The local phase stops when the log-scale step
-    drops below `tolerance` or after `max_iterations`.
+    scale. A small deterministic probe grid around `zeta0` (out to 1.5
+    e-folds either way) picks the starting point, then the search runs
+    over log(zeta) with a quasi-Newton (secant curvature) update,
+    central-difference gradients of step 1e-4 in log zeta, and a
+    backtracking line search that only ever accepts descent. The
+    returned scale therefore never has a worse objective than `zeta0`.
+    The gradient and curvature at an accepted point feed the secant
+    update and are reused as the next iteration's, so no scale is
+    evaluated twice. The local phase stops when the log-scale step
+    drops below 1e-6 or after 100 iterations. Every voxel takes part.
 
     Parameters
     ----------
     signals : array_like, shape (n_voxels, n_samples)
         One signal per row; a single 1-D signal is also accepted.
-    subsample : int, optional
-        Optimize on a seeded random subset of this many voxels, an
-        integer >= 1.
 
     Returns
     -------
@@ -301,14 +297,6 @@ def optimize_zeta(signals, samples, cfg, zeta0, *, max_iterations=100,
         raise InvalidArgumentError("signal length does not match sample count")
     if zeta0 <= 0:
         raise InvalidArgumentError("zeta0 must be positive")
-    if subsample is not None and not (isinstance(subsample, numbers.Integral)
-                                      and subsample >= 1):
-        raise InvalidArgumentError(f"subsample must be an integer >= 1, got {subsample!r}")
-    if subsample is not None and subsample < signals.shape[0]:
-        pick = np.random.default_rng(subsample_seed).choice(
-            signals.shape[0], size=subsample, replace=False
-        )
-        signals = signals[np.sort(pick)]
 
     signals_t = np.ascontiguousarray(signals.T)
     penalty = _penalty_diag(cfg)
@@ -335,26 +323,25 @@ def optimize_zeta(signals, samples, cfg, zeta0, *, max_iterations=100,
     best_t, best_f = t, f
     # the refit residual can be nearly flat in zeta with shallow local
     # bumps; a coarse bracket around the start picks the right basin
-    if probe_spread > 0:
-        for step_count in (1, 2, 3, 4):
-            offset = probe_spread * step_count / 4.0
-            for signed in (-offset, offset):
-                f_probe = objective(t + signed)
-                if f_probe < best_f:
-                    best_t, best_f = t + signed, f_probe
-        t, f = best_t, best_f
+    for step_count in (1, 2, 3, 4):
+        offset = _PROBE_SPREAD * step_count / 4.0
+        for signed in (-offset, offset):
+            f_probe = objective(t + signed)
+            if f_probe < best_f:
+                best_t, best_f = t + signed, f_probe
+    t, f = best_t, best_f
     curvature = None
 
     def gradient(point, value):
-        f_plus = objective(point + gradient_step)
-        f_minus = objective(point - gradient_step)
-        g = (f_plus - f_minus) / (2.0 * gradient_step)
+        f_plus = objective(point + _GRADIENT_STEP)
+        f_minus = objective(point - _GRADIENT_STEP)
+        g = (f_plus - f_minus) / (2.0 * _GRADIENT_STEP)
         # second difference doubles as a free curvature estimate
-        h = (f_plus - 2.0 * value + f_minus) / gradient_step**2
+        h = (f_plus - 2.0 * value + f_minus) / _GRADIENT_STEP**2
         return g, h
 
     slope = None  # (g, h) at t, carried over from the previous iteration
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         g, h = slope if slope is not None else gradient(t, f)
         if g == 0.0:
             break
@@ -385,7 +372,7 @@ def optimize_zeta(signals, samples, cfg, zeta0, *, max_iterations=100,
         t, f = t_new, f_new
         if f < best_f:
             best_t, best_f = t, f
-        if abs(s) < tolerance:
+        if abs(s) < _TOLERANCE:
             break
 
     return float(np.exp(best_t))

@@ -58,18 +58,18 @@ class TestFitSample:
     def test_forward_synthesize_then_fit(self, dirs100):
         truth = random_series(8, seed=0)
         values = sample_sh(truth, dirs100)
-        fitted = fit_sh(values, dirs100, 8, ridge=0.0)
+        fitted = fit_sh(values, dirs100, 8)
         assert np.max(np.abs(fitted.coeffs - truth.coeffs)) < 1e-8
 
     def test_constant_values_hit_only_c00(self, dirs100):
-        fitted = fit_sh(np.full(len(dirs100), 0.75), dirs100, 8, ridge=0.0)
+        fitted = fit_sh(np.full(len(dirs100), 0.75), dirs100, 8)
         assert abs(fitted.coeffs[0] - 0.75 * 2.0 * np.sqrt(np.pi)) < 1e-10
         assert np.max(np.abs(fitted.coeffs[1:])) < 1e-10
 
     def test_underdetermined_rejected(self):
         few = generate_uniform_directions(10, seed=1, iterations=50)
         with pytest.raises(SingularSystemError):
-            fit_sh(np.ones(10), few, 8, ridge=0.0)
+            fit_sh(np.ones(10), few, 8)
 
     def test_length_mismatch_rejected(self, dirs100):
         with pytest.raises(InvalidArgumentError):
@@ -86,9 +86,9 @@ class TestFitSample:
     def test_fit_many_matches_single(self, dirs100):
         rng = np.random.default_rng(3)
         values = rng.standard_normal((4, len(dirs100)))
-        batch = fit_sh_many(values, dirs100, 8, ridge=0.0)
+        batch = fit_sh_many(values, dirs100, 8)
         for k in range(4):
-            single = fit_sh(values[k], dirs100, 8, ridge=0.0)
+            single = fit_sh(values[k], dirs100, 8)
             assert np.allclose(batch[k], single.coeffs, atol=1e-12)
 
 
