@@ -439,7 +439,8 @@ def _cmd_evaluate(args, file_cfg):
         order = dataset.sh_order
     else:
         truth, truth_meta = io.read_coeffs(truth_path)
-        order = int(truth_meta.get("sh_order", pipeline.PipelineConfig().sh_order))
+        order = (io._field(truth_meta, "sh_order", truth_path, "meta", int)
+                 if "sh_order" in truth_meta else pipeline.PipelineConfig().sh_order)
     if pred.shape != truth.shape:
         raise InvalidArgumentError(
             f"prediction shape {pred.shape} does not match truth {truth.shape}"

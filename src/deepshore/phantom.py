@@ -21,20 +21,45 @@ from .shore import QSpaceSamples
 from .sphere import (
     DirectionSet,
     SphereQuadrature,
+    _haar_matrices,
+    _unit,
     gauss_sphere_quadrature,
     generate_uniform_directions,
-    haar_rotation,
 )
 
 _FRACTION_TOL = 1e-9
+# rows per pass of the FOD projection. Each (rows, nodes) temporary stays
+# near 200 kB, in cache and in heap memory that the allocator reuses; the
+# 2.6 MB temporaries of a whole 101-row block went back to the system and
+# were page-faulted in again on every block
+_FOD_ROWS = 8
 
 
 def _cross(a, b):
-    """``np.cross`` of two 3-vectors: the same products and differences,
+    """``np.cross`` along the last axis: the same products and differences,
     without its per-call axis handling, so the result is bitwise equal."""
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    a0, a1, a2 = np.moveaxis(a, -1, 0)
+    b0, b1, b2 = np.moveaxis(b, -1, 0)
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
+def _tensors(axes, eigenvalues):
+    """Diffusion tensors (..., 3, 3) of unit axes (..., 3) and their
+    (axial, radial, radial) eigenvalues (..., 3), each with a
+    deterministic transverse frame."""
+    helper = np.where((np.abs(axes[..., 0]) < 0.9)[..., None],
+                      [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    e2 = _unit(_cross(axes, helper))
+    e3 = _cross(axes, e2)
+    terms = [eigenvalues[..., k, None, None] * (e[..., :, None] * e[..., None, :])
+             for k, e in enumerate((axes, e2, e3))]
+    return terms[0] + terms[1] + terms[2]
+
+
+def _rotate(matrices, axes):
+    """``matrix @ axis`` for matrices (..., 3, 3) and axes (..., 3), one
+    BLAS gemv each."""
+    return np.matmul(matrices, axes[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -60,23 +85,16 @@ class TensorCompartment:
             raise InvalidArgumentError("orientation must be a non-zero 3-vector")
 
     def axis(self):
-        axis = np.asarray(self.orientation, dtype=float)
-        return axis / np.linalg.norm(axis)
+        return _unit(np.asarray(self.orientation, dtype=float))
 
     def tensor(self):
         """Full 3x3 diffusion tensor with a deterministic transverse frame."""
-        e1 = self.axis()
-        helper = np.array([1.0, 0.0, 0.0]) if abs(e1[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        e2 = _cross(e1, helper)
-        e2 /= np.linalg.norm(e2)
-        e3 = _cross(e1, e2)
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        return ev[0] * np.outer(e1, e1) + ev[1] * np.outer(e2, e2) + ev[2] * np.outer(e3, e3)
+        return _tensors(self.axis(), np.asarray(self.eigenvalues, dtype=float))
 
     def rotated(self, rotation):
         return TensorCompartment(
             tuple(self.eigenvalues),
-            tuple(rotation.matrix @ self.axis()),
+            tuple(_rotate(rotation.matrix, self.axis())),
             self.fraction,
         )
 
@@ -109,31 +127,49 @@ class PhantomConfig:
             raise InvalidArgumentError("max_fibers must be 1..3")
 
 
+def _stack(compartments):
+    """Unit axes (C, 3), eigenvalues (C, 3) and fractions (C,) of C compartments."""
+    return (
+        np.array([c.axis() for c in compartments]),
+        np.array([c.eigenvalues for c in compartments], dtype=float),
+        np.array([c.fraction for c in compartments], dtype=float),
+    )
+
+
 def simulate_signal(compartments, samples):
     """Multi-tensor forward model, normalized to 1 at b = 0.
 
     S_i = sum_c f_c exp(-b_i g_i' D_c g_i); the fractions must sum to 1.
     """
-    fractions = np.array([c.fraction for c in compartments], dtype=float)
+    axes, eigenvalues, fractions = _stack(compartments)
+    return _signals(axes[None], eigenvalues, fractions, samples)[0]
+
+
+def _signals(axes, eigenvalues, fractions, samples):
+    """`simulate_signal` of rows of compartments that differ only in their
+    unit axes (rows, C, 3); eigenvalues (C, 3) and fractions (C,) are shared."""
     if abs(fractions.sum() - 1.0) > _FRACTION_TOL:
         raise InvalidArgumentError(
             f"compartment fractions must sum to 1, got {fractions.sum():.12f}"
         )
     g = samples.directions.vectors
-    b = samples.bvalues
-    signal = np.zeros(len(samples))
-    for comp in compartments:
-        quad_form = np.einsum("ij,jk,ik->i", g, comp.tensor(), g)
-        signal += comp.fraction * np.exp(-b * quad_form)
+    tensors = _tensors(axes, eigenvalues).reshape(-1, 3, 3)
+    # per tensor, the same sums as einsum("ij,jk,ik->i", g, tensor, g)
+    quad_form = np.einsum("ij,vjk,ik->vi", g, tensors, g).reshape(*axes.shape[:2], -1)
+    signal = np.zeros((axes.shape[0], len(samples)))
+    for c, fraction in enumerate(fractions):
+        signal += fraction * np.exp(-samples.bvalues * quad_form[:, c])
     return signal
 
 
 def watson_density(points, mean_axis, kappa):
-    """Antipodally symmetric Watson density, unit integral over the sphere."""
-    mean_axis = np.asarray(mean_axis, dtype=float)
-    mean_axis = mean_axis / np.linalg.norm(mean_axis)
+    """Antipodally symmetric Watson density, unit integral over the sphere.
+
+    A stack of axes (..., 3) gives one density per axis, (..., points).
+    """
+    mean_axis = _unit(np.asarray(mean_axis, dtype=float))
     norm = 1.0 / (4.0 * np.pi * hyp1f1(0.5, 1.5, kappa))
-    t = points @ mean_axis
+    t = np.matmul(points, mean_axis[..., None])[..., 0]
     return norm * np.exp(kappa * t * t)
 
 
@@ -148,11 +184,22 @@ class FodProjector:
         self._weighted_basis = eval_sh_basis(quad.nodes, max_degree).T * quad.weights
 
     def project(self, compartments, kappa):
+        axes, _, fractions = _stack(compartments)
+        return ShSeries(self.max_degree, self._project_rows(axes[None], fractions, kappa)[0])
+
+    def _project_rows(self, axes, fractions, kappa):
+        """Coefficients (rows, coeffs) of `project` for rows of compartments
+        that differ only in their axes (rows, C, 3)."""
         nodes = self.quad.nodes.vectors
-        density = np.zeros(len(self.quad.nodes))
-        for comp in compartments:
-            density += comp.fraction * watson_density(nodes, comp.axis(), kappa)
-        return ShSeries(self.max_degree, self._weighted_basis @ density)
+        coeffs = np.empty((len(axes), len(self._weighted_basis)))
+        for start in range(0, len(axes), _FOD_ROWS):
+            chunk = axes[start:start + _FOD_ROWS]
+            density = np.zeros((len(chunk), len(nodes)))
+            for c, fraction in enumerate(fractions):
+                density += fraction * watson_density(nodes, chunk[:, c], kappa)
+            coeffs[start:start + len(chunk)] = np.matmul(
+                self._weighted_basis, density[:, :, None])[:, :, 0]
+        return coeffs
 
 
 def ground_truth_fod(compartments, max_degree, kappa, quad):
@@ -169,16 +216,23 @@ def add_rician_noise(values, snr, seed):
 
     An infinite snr returns the values unchanged.
     """
+    return _rician(np.asarray(values, dtype=float)[None], snr, [seed])[0]
+
+
+def _rician(values, snr, seeds):
+    """`add_rician_noise` of each values[k] with its own seeds[k]."""
     if snr <= 0:
         raise InvalidArgumentError("snr must be positive")
-    values = np.asarray(values, dtype=float)
     if math.isinf(snr):
         return values.copy()
-    rng = np.random.default_rng(seed)
     sigma = 1.0 / snr
-    n1 = rng.standard_normal(values.shape) * sigma
-    n2 = rng.standard_normal(values.shape) * sigma
-    return np.sqrt((values + n1) ** 2 + n2**2)
+    n1 = np.empty_like(values)
+    n2 = np.empty_like(values)
+    for row, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        n1[row] = rng.standard_normal(values.shape[1:])
+        n2[row] = rng.standard_normal(values.shape[1:])
+    return np.sqrt((values + n1 * sigma) ** 2 + (n2 * sigma) ** 2)
 
 
 def build_acquisition(cfg):
@@ -241,9 +295,23 @@ def _draw_compartments(rng, cfg):
 def generate_dataset(cfg):
     """Generate the phantom: base voxels plus jointly rotated copies.
 
-    Every source voxel contributes 1 + rotations_per_voxel rows sharing
-    one block id. Per-voxel generator streams are spawned from the seed,
-    so the output is deterministic and independent of generation order.
+    Every source voxel contributes a block of 1 + rotations_per_voxel
+    rows sharing one block id: the source and its rotated copies.
+    Per-voxel generator streams are spawned from the seed, so the output
+    is deterministic and independent of generation order. Each stream
+    draws the compartments, then all the block's quaternions, then one
+    noise seed per row.
+
+    A block is built with array operations over its rows, and its values
+    are bitwise those of the per-row functions (`TensorCompartment.rotated`
+    under `haar_rotation`, `simulate_signal`, `FodProjector.project`,
+    `add_rician_noise`) at any BLAS thread count. Elementwise arithmetic
+    is batched as written. Every reduction that a per-row function makes
+    through BLAS stays the same call, once per row, by stacked
+    ``np.matmul``: a vector norm or dot is one ddot, a matrix-vector
+    product one gemv. Norms by ``norm(axis=1)``, summed squares or
+    ``einsum("ij,ij->i")``, and one gemm in place of a block's gemvs,
+    round differently.
     """
     projector = FodProjector(gauss_sphere_quadrature(40, 81), cfg.sh_order)
     samples = build_acquisition(cfg)
@@ -253,21 +321,18 @@ def generate_dataset(cfg):
     total = cfg.n_voxels * rows_per_block
     signals = np.empty((total, len(samples)))
     fods = np.empty((total, sh_coeff_count(cfg.sh_order)))
-    block_ids = np.empty(total, dtype=int)
 
-    row = 0
     for voxel, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
         compartments = _draw_compartments(rng, cfg)
-        variants = [compartments]
-        for _ in range(cfg.rotations_per_voxel):
-            rotation = haar_rotation(rng)
-            variants.append([c.rotated(rotation) for c in compartments])
-        for comps in variants:
-            clean = simulate_signal(comps, samples)
-            noise_seed = int(rng.integers(0, 2**63 - 1))
-            signals[row] = add_rician_noise(clean, cfg.snr, noise_seed)
-            fods[row] = projector.project(comps, cfg.kappa_watson).coeffs
-            block_ids[row] = voxel
-            row += 1
+        rotations = _haar_matrices(rng, cfg.rotations_per_voxel)
+        noise_seeds = rng.integers(0, 2**63 - 1, size=rows_per_block).tolist()
+        source, eigenvalues, fractions = _stack(compartments)
+        # row axes (rows, C, 3): the source's, then each rotated copy's
+        axes = np.concatenate([source[None], _unit(_rotate(rotations[:, None], source))])
+        block = slice(voxel * rows_per_block, (voxel + 1) * rows_per_block)
+        clean = _signals(axes, eigenvalues, fractions, samples)
+        signals[block] = _rician(clean, cfg.snr, noise_seeds)
+        fods[block] = projector._project_rows(axes, fractions, cfg.kappa_watson)
+    block_ids = np.repeat(np.arange(cfg.n_voxels), rows_per_block)
     return PhantomDataset(signals, samples, fods, cfg.sh_order, block_ids, cfg)

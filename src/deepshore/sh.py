@@ -17,7 +17,7 @@ from .errors import (
     SingularSystemError,
     UndefinedCorrelationError,
 )
-from .sphere import rotate_directions
+from .sphere import _row_dots, rotate_directions
 
 CONDITION_LIMIT = 1e12
 
@@ -183,11 +183,6 @@ def acc(u, v, max_degree=None):
             )
         return float(_row_acc(u.coeffs[None], v.coeffs[None], u.max_degree)[0])
     return _row_acc(np.asarray(u), np.asarray(v), max_degree)
-
-
-def _row_dots(a, b):
-    """Dot product of each row pair, each row through one BLAS ddot."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _row_acc(pred, truth, max_degree):

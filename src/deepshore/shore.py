@@ -61,6 +61,7 @@ class QSpaceSamples:
         q = np.sqrt(b)
         q.flags.writeable = False
         self.q = q
+        self._sh_bases = {}
 
     def __len__(self):
         return self.bvalues.shape[0]
@@ -69,6 +70,14 @@ class QSpaceSamples:
         """Scheme restricted to the given sample indices / boolean mask."""
         idx = np.asarray(index)
         return QSpaceSamples(self.bvalues[idx], DirectionSet(self.directions.vectors[idx]))
+
+    def _sh_basis(self, max_degree):
+        """``sh.eval_sh_basis`` of the directions, evaluated once per degree."""
+        if max_degree not in self._sh_bases:
+            basis = sh.eval_sh_basis(self.directions, max_degree)
+            basis.flags.writeable = False
+            self._sh_bases[max_degree] = basis
+        return self._sh_bases[max_degree]
 
     def shells(self):
         """Distinct b-values in ascending order."""
@@ -183,11 +192,15 @@ def radial_basis_g(n, l, q, zeta):
 
 
 def shore_design_matrix(samples, radial_order, zeta):
-    """Design matrix with one row per sample and one column per (n, l, m)."""
+    """Design matrix with one row per sample and one column per (n, l, m).
+
+    The angular part does not depend on zeta; the scheme keeps it, so a
+    scale search evaluates it once.
+    """
     if zeta <= 0:
         raise InvalidArgumentError("zeta must be positive")
     triples = shore_index_set(radial_order)
-    sh_basis = sh.eval_sh_basis(samples.directions, radial_order)
+    sh_basis = samples._sh_basis(radial_order)
     sh_degrees, sh_orders = sh.sh_degree_order_table(radial_order)
     sh_col = {(l, m): i for i, (l, m) in enumerate(zip(sh_degrees, sh_orders))}
 
@@ -280,6 +293,12 @@ def optimize_zeta(signals, samples, cfg, zeta0):
     evaluated twice. The local phase stops when the log-scale step
     drops below 1e-6 or after 100 iterations. Every voxel takes part.
 
+    The step that stops the search on the 1e-6 tolerance builds no
+    gradient at its point, which nothing would use. So a non-finite
+    objective at that point plus or minus the gradient step, which would
+    raise OptimizationFailureError there, goes unnoticed, and the search
+    returns its best scale.
+
     Parameters
     ----------
     signals : array_like, shape (n_voxels, n_samples)
@@ -363,17 +382,16 @@ def optimize_zeta(signals, samples, cfg, zeta0):
             alpha *= 0.5
         if not accepted:
             break
-        slope = gradient(t_new, f_new)
-        g_new = slope[0]
         s = t_new - t
-        y = g_new - g
+        if f_new < best_f:
+            best_t, best_f = t_new, f_new
+        if abs(s) < _TOLERANCE:
+            break
+        slope = gradient(t_new, f_new)
+        y = slope[0] - g
         if s * y > 1e-16:
             curvature = y / s
         t, f = t_new, f_new
-        if f < best_f:
-            best_t, best_f = t, f
-        if abs(s) < _TOLERANCE:
-            break
 
     return float(np.exp(best_t))
 

@@ -55,6 +55,31 @@ class DirectionSet:
         return f"DirectionSet(n={len(self)})"
 
 
+def _row_dots(a, b):
+    """Dot product of each pair of vectors along the last axis of `a` and
+    `b`, each through one BLAS ddot, as ``np.dot`` and ``np.linalg.norm``
+    compute a single vector's, so a stack rounds like its vectors one at
+    a time. Each vector must have unit stride: BLAS can round the dot of
+    a strided vector differently."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _unit(vectors):
+    """Each vector along the last axis divided by its norm, rounded as
+    ``v / np.linalg.norm(v)`` rounds one vector."""
+    return vectors / np.sqrt(_row_dots(vectors, vectors))[..., None]
+
+
+def _check_rotations(matrices):
+    """Raise unless every matrix of the stack (..., 3, 3) is orthonormal
+    with determinant +1."""
+    gram = np.swapaxes(matrices, -1, -2) @ matrices
+    if not np.all(np.abs(gram - np.eye(3)) <= _UNIT_TOL):
+        raise InvalidArgumentError("matrix is not orthonormal")
+    if not np.all(np.abs(np.linalg.det(matrices) - 1.0) <= _UNIT_TOL):
+        raise InvalidArgumentError("matrix is not a proper rotation (det != +1)")
+
+
 class Rotation:
     """A proper rotation of 3-space (orthonormal matrix, determinant +1)."""
 
@@ -62,10 +87,7 @@ class Rotation:
         m = np.array(matrix, dtype=float)
         if m.shape != (3, 3):
             raise InvalidArgumentError(f"expected 3x3 matrix, got {m.shape}")
-        if np.max(np.abs(m.T @ m - np.eye(3))) > _UNIT_TOL:
-            raise InvalidArgumentError("matrix is not orthonormal")
-        if abs(np.linalg.det(m) - 1.0) > _UNIT_TOL:
-            raise InvalidArgumentError("matrix is not a proper rotation (det != +1)")
+        _check_rotations(m)
         m.flags.writeable = False
         self.matrix = m
 
@@ -225,19 +247,33 @@ def generate_uniform_directions(n, seed, iterations=1000):
 
 
 def _rotation_from_quaternion(q):
-    w, x, y, z = q
-    return np.array([
+    """Rotation matrices (..., 3, 3) of unit quaternions (..., 4)."""
+    w, x, y, z = np.moveaxis(q, -1, 0)
+    rows = [
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    ]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def _haar_matrices(rng, count):
+    """Draw `count` Haar-uniform rotation matrices (count, 3, 3) at once.
+
+    The quaternions come from one ``rng.standard_normal((count, 4))``,
+    which continues the stream as `count` single draws would, so the
+    matrices are bitwise those of `count` calls of ``haar_rotation``.
+    Every matrix is checked to be a proper rotation.
+    """
+    q = rng.standard_normal((count, 4))
+    matrices = _rotation_from_quaternion(_unit(q))
+    _check_rotations(matrices)
+    return matrices
 
 
 def haar_rotation(rng):
     """Draw one Haar-uniform rotation from an existing generator."""
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    return Rotation(_rotation_from_quaternion(q))
+    return Rotation(_haar_matrices(rng, 1)[0])
 
 
 def random_rotation(seed):

@@ -230,6 +230,20 @@ class TestTrainPredictEvaluate:
         doc = read_report(report)
         assert doc["median"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_evaluate_rejects_a_malformed_truth_sh_order(self, tmp_path, capsys):
+        data = make_phantom(tmp_path, voxels=3, rotations=2, seed=5)
+        fods = read_dataset(data).fod_coeffs
+        pred, truth = tmp_path / "pred.dsc", tmp_path / "truth.dsc"
+        write_coeffs(pred, fods, {"representation": "sh", "sh_order": 8})
+        write_coeffs(truth, fods, {"representation": "sh", "sh_order": "x"})
+        code = run_cli(["evaluate", "--pred", str(pred), "--truth", str(truth)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(truth) in err and "sh_order" in err
+        # without the key the default degree applies
+        write_coeffs(truth, fods, {"representation": "sh"})
+        assert run_cli(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 0
+
 
 class TestCrossvalCommand:
     def test_two_subcases_with_report_and_container(self, tmp_path):

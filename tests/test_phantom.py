@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import hyp1f1
 
 from deepshore import (
     DirectionSet,
@@ -16,7 +17,8 @@ from deepshore import (
     simulate_signal,
 )
 from deepshore import phantom
-from deepshore.phantom import PhantomConfig, build_acquisition
+from deepshore.phantom import PhantomConfig, _draw_compartments, build_acquisition
+from deepshore.sh import eval_sh_basis
 from deepshore.sphere import gauss_sphere_quadrature, rotate_directions
 
 
@@ -209,3 +211,71 @@ class TestGenerateDataset:
         data = generate_dataset(cfg)
         assert np.all(data.signals <= 1.0 + 1e-12)
         assert np.all(data.signals > 0.0)
+
+
+def _ref_generate_dataset(cfg):
+    """The generator one row and one compartment at a time, in plain
+    numpy/scipy calls: the draws, rotations, tensors, signals, noise and
+    Watson-mixture projections of every row. The acquisition scheme and
+    the quadrature basis are the package's."""
+    samples = build_acquisition(cfg)
+    quad = gauss_sphere_quadrature(40, 81)
+    weighted_basis = eval_sh_basis(quad.nodes, cfg.sh_order).T * quad.weights
+    g, b, nodes = samples.directions.vectors, samples.bvalues, quad.nodes.vectors
+    kappa = cfg.kappa_watson
+    signals, fods, block_ids = [], [], []
+    for voxel, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.n_voxels)):
+        rng = np.random.default_rng(stream)
+        comps = _draw_compartments(rng, cfg)
+        source = [np.asarray(c.orientation) / np.linalg.norm(c.orientation) for c in comps]
+        variants = [source]
+        for _ in range(cfg.rotations_per_voxel):
+            q = rng.standard_normal(4)
+            q /= np.linalg.norm(q)
+            w, x, y, z = q
+            m = np.array([
+                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+            ])
+            variants.append([m @ axis for axis in source])
+        for raw_axes in variants:
+            signal = np.zeros(len(samples))
+            density = np.zeros(len(nodes))
+            for comp, raw in zip(comps, raw_axes):
+                e1 = raw / np.linalg.norm(raw)
+                helper = np.array([1.0, 0.0, 0.0]) if abs(e1[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+                e2 = np.cross(e1, helper)
+                e2 /= np.linalg.norm(e2)
+                e3 = np.cross(e1, e2)
+                ev = np.asarray(comp.eigenvalues)
+                tensor = (ev[0] * np.outer(e1, e1) + ev[1] * np.outer(e2, e2)
+                          + ev[2] * np.outer(e3, e3))
+                signal += comp.fraction * np.exp(-b * np.einsum("ij,jk,ik->i", g, tensor, g))
+                t = nodes @ (e1 / np.linalg.norm(e1))
+                norm = 1.0 / (4.0 * np.pi * hyp1f1(0.5, 1.5, kappa))
+                density += comp.fraction * (norm * np.exp(kappa * t * t))
+            noise_rng = np.random.default_rng(int(rng.integers(0, 2**63 - 1)))
+            if np.isfinite(cfg.snr):
+                n1 = noise_rng.standard_normal(signal.shape) * (1.0 / cfg.snr)
+                n2 = noise_rng.standard_normal(signal.shape) * (1.0 / cfg.snr)
+                signal = np.sqrt((signal + n1) ** 2 + n2**2)
+            signals.append(signal)
+            fods.append(weighted_basis @ density)
+            block_ids.append(voxel)
+    return np.array(signals), np.array(fods), np.array(block_ids)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"snr": 30.0},
+    {"snr": float("inf")},
+    {"snr": 30.0, "rotations_per_voxel": 0},
+    {"snr": 30.0, "max_fibers": 1},
+], ids=["snr30", "noiseless", "no-rotations", "one-fiber"])
+def test_generate_dataset_is_bitwise_the_per_row_reference(overrides):
+    cfg = PhantomConfig(**{"n_voxels": 4, "rotations_per_voxel": 5, "seed": 21, **overrides})
+    data = generate_dataset(cfg)
+    signals, fods, block_ids = _ref_generate_dataset(cfg)
+    assert np.array_equal(data.signals, signals)
+    assert np.array_equal(data.fod_coeffs, fods)
+    assert np.array_equal(data.block_ids, block_ids)

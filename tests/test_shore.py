@@ -279,7 +279,8 @@ def _ref_optimize_zeta(signals, samples, cfg, zeta0, max_iterations=100,
                        gradient_step=1e-4, tolerance=1e-6, probe_spread=1.5):
     """The line search that recomputes the gradient at every accepted point.
 
-    Returns the scale and the number of objective evaluations.
+    Returns the scale, the number of objective evaluations, the number of
+    accepted steps and why the search stopped.
     """
     from deepshore.sh import _solve_regularized
     from deepshore.shore import _penalty_diag
@@ -313,9 +314,11 @@ def _ref_optimize_zeta(signals, samples, cfg, zeta0, max_iterations=100,
         h = (f_plus - 2.0 * value + f_minus) / gradient_step**2
         return g, h
 
+    steps, reason = 0, "iterations"
     for _ in range(max_iterations):
         g, h = gradient(t, f)
         if g == 0.0:
+            reason = "flat"
             break
         scale = curvature if curvature is not None and curvature > 0 else None
         if scale is None:
@@ -331,7 +334,9 @@ def _ref_optimize_zeta(signals, samples, cfg, zeta0, max_iterations=100,
                 break
             alpha *= 0.5
         if not accepted:
+            reason = "line search"
             break
+        steps += 1
         g_new, _ = gradient(t_new, f_new)
         s = t_new - t
         y = g_new - g
@@ -341,8 +346,9 @@ def _ref_optimize_zeta(signals, samples, cfg, zeta0, max_iterations=100,
         if f < best_f:
             best_t, best_f = t, f
         if abs(s) < tolerance:
+            reason = "tolerance"
             break
-    return float(np.exp(best_t)), evals[0]
+    return float(np.exp(best_t)), evals[0], steps, reason
 
 
 @pytest.fixture(scope="module")
@@ -357,7 +363,7 @@ class TestOptimizeZetaBitExact:
         signals = noisy_signals if noisy else noiseless_voxels.signals
         cfg = ShoreFitConfig()
         zeta0 = default_zeta0(four_shell_scheme)
-        expected, _ = _ref_optimize_zeta(signals, four_shell_scheme, cfg, zeta0)
+        expected, *_ = _ref_optimize_zeta(signals, four_shell_scheme, cfg, zeta0)
         found = optimize_zeta(signals, four_shell_scheme, cfg, zeta0)
         assert found.hex() == expected.hex()
 
@@ -377,18 +383,38 @@ class TestOptimizeZetaBitExact:
                                          noisy_signals):
         cfg = ShoreFitConfig()
         zeta0 = default_zeta0(four_shell_scheme)
-        _, reference_evals = _ref_optimize_zeta(noisy_signals, four_shell_scheme, cfg, zeta0)
-        scales = []
-        build = shore.shore_design_matrix
-
-        def counting(samples, radial_order, zeta):
-            scales.append(zeta)
-            return build(samples, radial_order, zeta)
-
-        monkeypatch.setattr(shore, "shore_design_matrix", counting)
-        optimize_zeta(noisy_signals, four_shell_scheme, cfg, zeta0)
+        _, reference_evals, _, _ = _ref_optimize_zeta(noisy_signals, four_shell_scheme,
+                                                      cfg, zeta0)
+        scales = _built_scales(monkeypatch, noisy_signals, four_shell_scheme, cfg, zeta0)
         assert len(set(scales)) == len(scales)
         assert len(scales) < reference_evals
+
+    def test_tolerance_stop_builds_no_final_gradient(self, monkeypatch, four_shell_scheme,
+                                                     noisy_signals):
+        cfg = ShoreFitConfig()
+        zeta0 = default_zeta0(four_shell_scheme)
+        _, reference_evals, steps, reason = _ref_optimize_zeta(
+            noisy_signals, four_shell_scheme, cfg, zeta0)
+        assert reason == "tolerance" and steps > 1
+        scales = _built_scales(monkeypatch, noisy_signals, four_shell_scheme, cfg, zeta0)
+        # the reference builds a gradient pair at every accepted point twice;
+        # the search carries one over at the steps - 1 points before the last
+        # and builds none at the last: 2 builds fewer than carrying it over
+        assert len(scales) == reference_evals - 2 * (steps - 1) - 2
+
+
+def _built_scales(monkeypatch, signals, samples, cfg, zeta0):
+    """The scales of the design matrices that one optimize_zeta call builds."""
+    scales = []
+    build = shore.shore_design_matrix
+
+    def counting(samples, radial_order, zeta):
+        scales.append(zeta)
+        return build(samples, radial_order, zeta)
+
+    monkeypatch.setattr(shore, "shore_design_matrix", counting)
+    optimize_zeta(signals, samples, cfg, zeta0)
+    return scales
 
 
 def watson_fod(kappa, seed, max_degree=8):
