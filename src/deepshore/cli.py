@@ -439,7 +439,7 @@ def _cmd_evaluate(args, file_cfg):
         order = dataset.sh_order
     else:
         truth, truth_meta = io.read_coeffs(truth_path)
-        order = (io._field(truth_meta, "sh_order", truth_path, "meta", int)
+        order = (io._field(truth_meta, "sh_order", truth_path, "meta", io._integral)
                  if "sh_order" in truth_meta else pipeline.PipelineConfig().sh_order)
     if pred.shape != truth.shape:
         raise InvalidArgumentError(

@@ -59,6 +59,15 @@ def write_container(path, kind, segments, metadata=None):
             fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def _integral(value):
+    """`value` as an int: only an integral number is one, and a JSON
+    true or false is none (the rule `cli` applies to config values)."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or (isinstance(value, float) and value.is_integer())):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _field(mapping, key, path, where, cast):
     """`cast(mapping[key])`; a missing or malformed value is a
     ContainerFormatError naming the file and the key."""
@@ -102,7 +111,7 @@ def read_container(path):
     offset = 0
     for index, entry in enumerate(entries):
         name = _field(entry, "name", path, f"segment {index}", str)
-        shape = _field(entry, "shape", path, f"segment {index}", lambda v: tuple(map(int, v)))
+        shape = _field(entry, "shape", path, f"segment {index}", lambda v: tuple(map(_integral, v)))
         nbytes = int(np.prod(shape, dtype=np.int64)) * 4
         chunk = payload[offset:offset + nbytes]
         if len(chunk) != nbytes:
@@ -179,7 +188,7 @@ def read_dataset(path):
         signals=box.segments["signals"].astype(float),
         samples=samples,
         fod_coeffs=box.segments["fod_coeffs"].astype(float),
-        sh_order=_field(box.metadata, "sh_order", path, "meta", int),
+        sh_order=_field(box.metadata, "sh_order", path, "meta", _integral),
         block_ids=np.rint(box.segments["block_ids"]).astype(int),
         config=None,
     )
@@ -246,7 +255,7 @@ def read_model(path):
     box = read_container(path)
     if box.kind != "model":
         raise ContainerFormatError(f"expected a model container, got {box.kind!r}")
-    arch = MlpArchitecture(*(_field(box.metadata, key, path, "meta", int)
+    arch = MlpArchitecture(*(_field(box.metadata, key, path, "meta", _integral)
                              for key in ("input_dim", "output_dim")))
     seg = {name: values.astype(float) for name, values in box.segments.items()}
     regressor = FodRegressor.from_description(box.metadata.get("target"), path)

@@ -126,25 +126,52 @@ def elu(x, out=None):
     return np.maximum(x, out, out=out)
 
 
-class _Workspace:
-    """Per-layer buffers for batches of up to `rows` rows.
+def _rows(buf, n, width):
+    """The leading `n` rows of flat `buf` as a C-contiguous (n, width) array."""
+    return buf[:n * width].reshape(n, width)
 
-    One workspace serves every batch of a `train` call; a shorter batch
-    uses the leading rows. Per hidden layer it holds the pre-activation
-    (reused for the backward delta) and the activation; for the backward
-    pass also the gradient arriving at each activation (`up`) and the
-    parameter gradients.
+
+class _Workspace:
+    """Flat buffers for batches of up to `rows` rows, shared by liveness.
+
+    One workspace serves every batch of a `train` call, or every
+    `forward` call over the same rows; a shorter batch uses the leading
+    rows. Each buffer holds one live value at a time:
+
+    - `scratch` (widest layer): each forward pre-activation, from its
+      matmul until elu reads it. In the backward pass up[4], then up[2],
+      then up[0], each turned in place into its layer's delta.
+    - `act[l]`: activation l + 1. With `backward` each has its own
+      buffer, which the backward pass overwrites with the elu derivative
+      once the weight gradient has read the activation. Without, the skip
+      source act[SKIP_FROM - 1] has its own, read two layers later, and
+      the others share one widest-width buffer: a layer's matmul has read
+      the activation before elu overwrites it with the next.
+    - `up[l]` (with `backward`): the gradient arriving at activation
+      l + 1. Neighbours alternate between `scratch` and own buffers, as
+      each is the matmul of the delta held in the one before; and
+      up[SKIP_INTO - 1] still holds its delta when the skip adds it into
+      up[SKIP_FROM - 1].
+    - `out`: the output, then the residual; `delta_out`: the output
+      delta; `grad_w`, `grad_b`: the parameter gradients.
     """
 
     def __init__(self, model, rows, backward=True):
-        self.pre = [np.empty((rows, width)) for width in HIDDEN_WIDTHS]
-        self.act = [np.empty((rows, width)) for width in HIDDEN_WIDTHS]
-        self.out = np.empty((rows, model.output_dim))
+        widest = max(HIDDEN_WIDTHS)
+        self.scratch = np.empty(rows * widest)
+        self.out = np.empty(rows * model.output_dim)
         if backward:
-            self.up = [np.empty((rows, width)) for width in HIDDEN_WIDTHS]
-            self.delta_out = np.empty((rows, model.output_dim))
+            self.act = [np.empty(rows * width) for width in HIDDEN_WIDTHS]
+            self.up = [self.scratch if l % 2 == 0 else np.empty(rows * width)
+                       for l, width in enumerate(HIDDEN_WIDTHS)]
+            self.delta_out = np.empty(rows * model.output_dim)
             self.grad_w = [np.empty_like(w) for w in model.weights]
             self.grad_b = [np.empty_like(b) for b in model.biases]
+        else:
+            shared = np.empty(rows * widest)
+            skip = np.empty(rows * HIDDEN_WIDTHS[SKIP_FROM - 1])
+            self.act = [skip if l + 1 == SKIP_FROM else shared
+                        for l in range(len(HIDDEN_WIDTHS))]
 
 
 def _layer(h, weight, bias, pre, act=None, skip=None):
@@ -162,29 +189,39 @@ def _layer(h, weight, bias, pre, act=None, skip=None):
     return elu(pre, out=act)
 
 
-def _forward_trace(model, batch, ws=None):
-    """Forward pass keeping pre-activations and activations for backprop."""
+def _forward_pass(model, batch, ws):
+    """The output and activations [batch, act 1, ..., act 5] of a batch.
+
+    Each pre-activation is computed in `ws.scratch`; the activations are
+    views of `ws.act`, which for a forward-only workspace share a buffer,
+    so there only the last one and act[SKIP_FROM] hold their values.
+    """
     n = len(batch)
-    if ws is None:
-        ws = _Workspace(model, n, backward=False)
-    pre = [z[:n] for z in ws.pre]
-    act = [batch] + [a[:n] for a in ws.act]
+    act = [batch] + [_rows(buf, n, width) for buf, width in zip(ws.act, HIDDEN_WIDTHS)]
     for layer in range(5):
         skip = act[SKIP_FROM] if layer + 1 == SKIP_INTO else None
-        _layer(act[layer], model.weights[layer], model.biases[layer],
-               pre[layer], act[layer + 1], skip)
-    out = _layer(act[5], model.weights[5], model.biases[5], ws.out[:n])
-    return out, pre, act
+        pre = _rows(ws.scratch, n, HIDDEN_WIDTHS[layer])
+        _layer(act[layer], model.weights[layer], model.biases[layer], pre, act[layer + 1], skip)
+    out = _layer(act[5], model.weights[5], model.biases[5], _rows(ws.out, n, model.output_dim))
+    return out, act
 
 
-def forward(model, batch):
-    """Map a batch (rows = samples) through the network."""
+def forward(model, batch, ws=None):
+    """Map a batch (rows = samples) through the network.
+
+    `ws` is a forward-only workspace (`_Workspace(model, rows,
+    backward=False)`) to reuse across calls; the result is then a view of
+    its buffer, overwritten by the next call. Without one, a workspace
+    sized to the batch is built.
+    """
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != model.input_dim:
         raise InvalidArgumentError(
             f"batch width {batch.shape} does not match input_dim {model.input_dim}"
         )
-    out, _, _ = _forward_trace(model, batch)
+    if ws is None:
+        ws = _Workspace(model, len(batch), backward=False)
+    out, _ = _forward_pass(model, batch, ws)
     return out
 
 
@@ -203,12 +240,12 @@ def _gradients(model, batch, targets, ws=None):
     n = len(batch)
     if ws is None:
         ws = _Workspace(model, n)
-    out, pre, act = _forward_trace(model, batch, ws)
-    up = [u[:n] for u in ws.up]
+    out, act = _forward_pass(model, batch, ws)
+    up = [_rows(buf, n, width) for buf, width in zip(ws.up, HIDDEN_WIDTHS)]
     grad_w, grad_b = ws.grad_w, ws.grad_b
 
     diff = np.subtract(out, targets, out=out)
-    delta = np.multiply(diff, 2.0, out=ws.delta_out[:n])
+    delta = np.multiply(diff, 2.0, out=_rows(ws.delta_out, n, model.output_dim))
     delta /= diff.size
     loss = float(np.mean(np.multiply(diff, diff, out=diff)))
     np.matmul(act[5].T, delta, out=grad_w[5])
@@ -217,10 +254,12 @@ def _gradients(model, batch, targets, ws=None):
 
     for layer in range(4, -1, -1):
         # elu'(z) is 1 above zero and elu(z) + 1 below, i.e. min(elu(z), 0) + 1;
-        # z is no longer needed, so its buffer takes the delta
-        delta = np.minimum(act[layer + 1], 0.0, out=pre[layer])
-        delta += 1.0
-        delta *= up[layer]
+        # it overwrites the activation it is read from, which is no longer
+        # needed, and the delta overwrites up (up * elu' rounds as elu' * up)
+        elu_grad = np.minimum(act[layer + 1], 0.0, out=act[layer + 1])
+        elu_grad += 1.0
+        delta = up[layer]
+        delta *= elu_grad
         np.matmul(act[layer].T, delta, out=grad_w[layer])
         np.sum(delta, axis=0, out=grad_b[layer])
         if layer == 0:
@@ -228,7 +267,7 @@ def _gradients(model, batch, targets, ws=None):
         np.matmul(delta, model.weights[layer].T, out=up[layer - 1])
         if layer == SKIP_FROM:
             # the skip feeds act[SKIP_FROM] straight into pre-activation SKIP_INTO
-            up[layer - 1] += pre[SKIP_INTO - 1]
+            up[layer - 1] += up[SKIP_INTO - 1]
     return loss, grad_w, grad_b
 
 
@@ -307,6 +346,10 @@ def train(model, data, cfg, validation=None):
     n_rows = len(data)
     rows_max = min(cfg.batch_size, n_rows)
     ws = _Workspace(model, rows_max)
+    val_ws = None
+    if validation is not None and cfg.early_stop:
+        val_inputs, val_targets = validation
+        val_ws = _Workspace(model, len(val_inputs), backward=False)
     inputs = np.empty((rows_max, model.input_dim))
     targets = np.empty((rows_max, model.output_dim))
     history = []
@@ -333,9 +376,8 @@ def train(model, data, cfg, validation=None):
         history.append(epoch_sse / n_rows)
 
         # only early stopping reads the validation loss
-        if validation is not None and cfg.early_stop:
-            val_inputs, val_targets = validation
-            val_loss = mse(forward(model, val_inputs), val_targets)
+        if val_ws is not None:
+            val_loss = mse(forward(model, val_inputs, val_ws), val_targets)
             if val_loss < best_val:
                 best_val = val_loss
                 stale = 0
@@ -381,14 +423,15 @@ def gradient_check(model, batch, targets, *, n_samples=200, step=1e-5, seed=0,
         picks = rng.choice(len(flat), size=n_samples, replace=False)
         flat = [flat[p] for p in picks]
 
+    ws = _Workspace(model, len(batch), backward=False)
     worst = 0.0
     for param, grad, k in flat:
         view = param.reshape(-1)
         saved = view[k]
         view[k] = saved + step
-        loss_plus = mse(forward(model, batch), targets)
+        loss_plus = mse(forward(model, batch, ws), targets)
         view[k] = saved - step
-        loss_minus = mse(forward(model, batch), targets)
+        loss_minus = mse(forward(model, batch, ws), targets)
         view[k] = saved
         numeric = (loss_plus - loss_minus) / (2.0 * step)
         analytic = grad.reshape(-1)[k]

@@ -31,8 +31,8 @@ def clamp_log(values, cfg=NonNegConfig()):
 
     Output is never below log(epsilon), so non-positive inputs are safe.
     """
-    values = np.asarray(values, dtype=float)
-    return np.log(np.maximum(values, cfg.epsilon))
+    out = np.maximum(np.asarray(values, dtype=float), cfg.epsilon)
+    return np.log(out, out=out)
 
 
 def exp_restore(values):

@@ -244,6 +244,18 @@ class TestTrainPredictEvaluate:
         write_coeffs(truth, fods, {"representation": "sh"})
         assert run_cli(["evaluate", "--pred", str(pred), "--truth", str(truth)]) == 0
 
+    @pytest.mark.parametrize("value", [8.9, True])
+    def test_evaluate_rejects_a_non_integral_truth_sh_order(self, tmp_path, capsys, value):
+        data = make_phantom(tmp_path, voxels=3, rotations=2, seed=5)
+        fods = read_dataset(data).fod_coeffs
+        pred, truth = tmp_path / "pred.dsc", tmp_path / "truth.dsc"
+        write_coeffs(pred, fods, {"representation": "sh", "sh_order": 8})
+        write_coeffs(truth, fods, {"representation": "sh", "sh_order": value})
+        code = run_cli(["evaluate", "--pred", str(pred), "--truth", str(truth)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(truth) in err and "sh_order" in err
+
 
 class TestCrossvalCommand:
     def test_two_subcases_with_report_and_container(self, tmp_path):

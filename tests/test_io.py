@@ -163,6 +163,28 @@ class TestCoeffsModel:
             read_model(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("value", [50.5, True])
+    def test_model_rejects_a_non_integral_input_dim(self, tmp_path, value):
+        path = tmp_path / "m.dsc"
+        write_model(path, small_regressor())
+        box = read_container(path)
+        box.metadata["input_dim"] = value
+        write_container(path, "model", list(box.segments.items()), box.metadata)
+        with pytest.raises(ContainerFormatError, match="input_dim") as err:
+            read_model(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("value", [8.9, True])
+    def test_dataset_rejects_a_non_integral_sh_order(self, tmp_path, small_dataset, value):
+        path = tmp_path / "d.dsc"
+        write_dataset(path, small_dataset)
+        box = read_container(path)
+        box.metadata["sh_order"] = value
+        write_container(path, "dataset", list(box.segments.items()), box.metadata)
+        with pytest.raises(ContainerFormatError, match="sh_order") as err:
+            read_dataset(path)
+        assert str(path) in str(err.value)
+
     def test_model_rewrite_bit_identical(self, tmp_path):
         a, b = tmp_path / "a.dsc", tmp_path / "b.dsc"
         regressor = small_regressor()

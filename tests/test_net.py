@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,14 @@ from deepshore import (
     train,
 )
 from deepshore import net
-from deepshore.net import HIDDEN_WIDTHS, SKIP_FROM, SKIP_INTO, _forward_trace, elu
+from deepshore.net import HIDDEN_WIDTHS, SKIP_FROM, SKIP_INTO, _Workspace, _forward_pass, elu
+
+# hidden-width doubles per batch row: a train step keeps the five
+# activations (890), one widest-width buffer (400) and two skip-width
+# gradient buffers (45 + 45); `forward` one widest-width activation buffer,
+# the skip source and the widest-width pre-activation scratch
+TRAIN_STEP_DOUBLES_PER_ROW = 1380
+FORWARD_DOUBLES_PER_ROW = 845
 
 
 def reference_elu(x):
@@ -157,7 +166,7 @@ class TestForward:
         model.biases[2][:] = 0.0
         model.biases[3][:] = 0.0
         x, _ = small_batch(3, 5, 50, 45)
-        _, _, act = _forward_trace(model, x)
+        _, act = _forward_pass(model, x, _Workspace(model, len(x)))
         assert np.array_equal(act[4], elu(act[2]))
 
     def test_elu_edge_values_match_masked_form_bitwise(self):
@@ -280,6 +289,66 @@ class TestTrain:
         for got, want in zip(grad_w + grad_b, ref_w + ref_b):
             assert same_bits(got, want)
 
+    def test_gradients_on_a_reused_workspace_bitwise_equal_to_reference(self):
+        # a full batch, a short last batch and the full batch again through
+        # one workspace: stale values left in shared buffers must not leak
+        model = build_model(12, 7, seed=10)
+        ws = _Workspace(model, 32)
+        for rows, seed in ((32, 30), (6, 31), (32, 32)):
+            x, y = small_batch(seed, rows, 12, 7)
+            loss, grad_w, grad_b = net._gradients(model, x, y, ws)
+            ref_loss, ref_w, ref_b = reference_gradients(model.weights, model.biases, x, y)
+            assert loss == ref_loss
+            for got, want in zip(grad_w + grad_b, ref_w + ref_b):
+                assert same_bits(got, want)
+
+    def test_skip_delta_reaches_the_source_layer_bitwise(self):
+        # with layers 3 and 4 zeroed, the source layer's gradient arrives
+        # only through the skip
+        model = build_model(12, 7, seed=11)
+        for i in (2, 3):
+            model.weights[i][:] = 0.0
+        x, y = small_batch(33, 10, 12, 7)
+        _, grad_w, _ = net._gradients(model, x, y, _Workspace(model, 16))
+        _, ref_w, _ = reference_gradients(model.weights, model.biases, x, y)
+        assert np.any(ref_w[1] != 0.0)
+        assert same_bits(grad_w[1], ref_w[1])
+
+    def test_forward_bitwise_equal_to_training_forward_pass(self):
+        model = build_model(12, 7, seed=12)
+        ws = _Workspace(model, 20, backward=False)
+        for rows, seed in ((20, 34), (3, 35)):
+            x, _ = small_batch(seed, rows, 12, 7)
+            train_out, _ = _forward_pass(model, x, _Workspace(model, rows))
+            ref_out, _, _ = reference_forward_trace(model.weights, model.biases, x)
+            assert same_bits(train_out, ref_out)
+            assert same_bits(forward(model, x), train_out)
+            assert same_bits(forward(model, x, ws), train_out)
+
+    @pytest.mark.parametrize("step, doubles", [
+        ("train", TRAIN_STEP_DOUBLES_PER_ROW), ("forward", FORWARD_DOUBLES_PER_ROW)])
+    def test_doubles_allocated_per_row(self, step, doubles):
+        # the peak allocation of one call grows with the batch by exactly the
+        # hidden-width buffers plus the output-width ones (out, and for a
+        # train step the output delta); per-layer buffers would show here
+        model = build_model(6, 5, seed=0)
+        calls = {"train": lambda x, y: net._gradients(model, x, y),
+                 "forward": lambda x, y: forward(model, x)}
+        out_buffers = {"train": 2, "forward": 1}[step]
+        peaks = []
+        # numpy's own scratch of a call still varies below about 300 rows
+        for rows in (400, 800):
+            x, y = small_batch(36, rows, 6, 5)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                calls[step](x, y)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        per_row = (peaks[1] - peaks[0]) / 400 / 8
+        assert round(per_row) == doubles + out_buffers * model.output_dim
+
     def test_validation_unused_without_early_stop(self, monkeypatch):
         x, y = small_batch(27, 50, 10, 8)
         data = VoxelDataset(x[:40], y[:40], np.arange(40))
@@ -307,6 +376,30 @@ class TestTrain:
         trained, history = train(build_model(10, 8, seed=1), data, cfg,
                                  validation=(x[60:], y[60:]))
         assert len(history) <= 120
+
+    def test_validation_reuses_one_workspace_bitwise(self, monkeypatch):
+        x, y = small_batch(37, 80, 10, 8)
+        data = VoxelDataset(x[:60], y[:60], np.arange(60))
+        cfg = TrainConfig(epochs=40, batch_size=20, seed=0, early_stop=True, patience=5)
+        real_forward = net.forward
+        workspaces = []
+
+        def recording_forward(model, batch, ws=None):
+            workspaces.append(ws)
+            return real_forward(model, batch, ws)
+
+        monkeypatch.setattr(net, "forward", recording_forward)
+        reused, reused_history = train(build_model(10, 8, seed=1), data, cfg,
+                                       validation=(x[60:], y[60:]))
+        assert len(workspaces) == len(reused_history) > 1
+        assert workspaces[0] is not None and all(ws is workspaces[0] for ws in workspaces)
+
+        monkeypatch.setattr(net, "forward", lambda model, batch, ws=None: real_forward(model, batch))
+        fresh, fresh_history = train(build_model(10, 8, seed=1), data, cfg,
+                                     validation=(x[60:], y[60:]))
+        assert same_bits(reused_history, fresh_history)
+        for got, want in zip(reused.weights + reused.biases, fresh.weights + fresh.biases):
+            assert same_bits(got, want)
 
 
 class TestKfoldSplit:

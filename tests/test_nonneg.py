@@ -25,6 +25,24 @@ def test_floor_always_respected():
     assert np.all(clamp_log(values) >= np.log(0.005) - 1e-15)
 
 
+def test_bitwise_equal_to_the_allocating_form():
+    rng = np.random.default_rng(2)
+    # values below, at and above the floor, zero, negative and non-finite
+    values = np.concatenate([rng.standard_normal(997) * 3.0,
+                             [0.005, -0.0, np.inf, -np.inf, 1e-300, 700.0]])
+    for eps in (0.005, 0.1):
+        want = np.log(np.maximum(values, eps))
+        got = clamp_log(values, NonNegConfig(eps))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert values.min() < 0.005 and np.sum(values < 0.005) > 100
+
+
+def test_input_left_untouched():
+    values = np.array([-1.0, 0.001, 2.0])
+    clamp_log(values)
+    assert np.array_equal(values, [-1.0, 0.001, 2.0])
+
+
 def test_roundtrip_identity_above_floor():
     rng = np.random.default_rng(1)
     values = 0.005 + rng.random(500) * 5.0
