@@ -12,9 +12,11 @@ resolved configuration and seeds so runs can be reproduced. A JSON
 config file can pre-set any flag; explicit flags win over the file.
 One file may serve every command, so a key of another command's flag is
 ignored, but a key that no command takes is a usage error.
-Numeric-library parallelism follows the BLAS library's own environment
-variables, such as OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before
-the process starts.
+The scale (zeta) search and the SHORE and SH fits always run on one
+BLAS thread, so their outputs do not depend on the thread count. The
+BLAS library's own environment variables, such as OPENBLAS_NUM_THREADS
+or OMP_NUM_THREADS, set before the process starts, govern the rest:
+the network's training and forward passes and the phantom generator.
 """
 
 import argparse

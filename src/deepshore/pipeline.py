@@ -312,9 +312,11 @@ def run_subcase_experiment(cfg, dataset):
     folds = []
     audit_folds = []
     log_fod = fod_samples(dataset.fod_coeffs, dataset.sh_order, cfg)
-    # the targets change between folds only with a q-space fit at each
-    # fold's optimized scale
+    # the inputs change between folds only with each fold's optimized
+    # scale, and the targets only if they are q-space fits at that scale
     fold_targets = optimize_scale and target_kind == "shore"
+    if not optimize_scale:
+        inputs = shore.fit_shore_many(log_signals, sub_samples, cfg.shore, zeta0)
     if not fold_targets:
         targets = fod_targets(log_fod, target_kind, zeta0, cfg)
     for fold_index, (train_rows, test_rows) in enumerate(splits[:limit]):
@@ -326,14 +328,12 @@ def run_subcase_experiment(cfg, dataset):
                 f"fold {fold_index}: blocks {overlap.tolist()} appear on both sides"
             )
 
+        zeta = zeta0
         if optimize_scale:
             # the scale lives on the signal representation: optimize it on
             # the linear-space attenuations, then fit the log-space problem
             zeta = shore.optimize_zeta(lin_signals[train_rows], sub_samples, cfg.shore, zeta0)
-        else:
-            zeta = zeta0
-
-        inputs = shore.fit_shore_many(log_signals, sub_samples, cfg.shore, zeta)
+            inputs = shore.fit_shore_many(log_signals, sub_samples, cfg.shore, zeta)
         if fold_targets:
             targets = fod_targets(log_fod, target_kind, zeta, cfg)
         regressor = FodRegressor(target_kind, zeta, cfg, dataset.sh_order)

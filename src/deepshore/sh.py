@@ -8,6 +8,10 @@ times the imaginary part of the |m| harmonic, and for m = 0 the complex
 harmonic itself (which is already real).
 """
 
+import contextlib
+import ctypes
+import functools
+
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import gammaln, lpmv
@@ -96,6 +100,40 @@ def eval_sh_basis(dirs, max_degree):
     return np.stack(cols, axis=1)
 
 
+@functools.cache
+def _openblas_builds():
+    """The loaded OpenBLAS libraries that export
+    ``openblas_set_num_threads_local``: numpy's build, which serves
+    ``matmul``, and scipy's, which serves ``cho_factor``/``cho_solve``."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return ()
+    builds = (ctypes.CDLL(path) for path in sorted(paths) if ".so" in path)
+    return tuple(lib for lib in builds if hasattr(lib, "openblas_set_num_threads_local"))
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's count.
+
+    OpenBLAS may split a product over threads in an order that changes
+    its last bits, so the solves and the scale search pin one thread:
+    their results then do not depend on the thread count, and at the
+    sizes measured one thread was no slower. The setting is the library's,
+    not the calling thread's, so concurrent callers would share it.
+    Without a loaded OpenBLAS this does nothing.
+    """
+    builds = _openblas_builds()
+    previous = [lib.openblas_set_num_threads_local(1) for lib in builds]
+    try:
+        yield
+    finally:
+        for lib, count in zip(builds, previous):
+            lib.openblas_set_num_threads_local(count)
+
+
 def _solve_regularized(design, penalty_diag, rhs):
     """Solve (X'X + s * diag(penalty)) c = X' rhs for one or many rhs columns.
 
@@ -104,23 +142,24 @@ def _solve_regularized(design, penalty_diag, rhs):
     means "1e-8 relative to the data term" regardless of how the basis
     normalization or the sampling scheme size the design columns.
     Without a penalty the normal equations must be well conditioned
-    (condition number at most CONDITION_LIMIT).
+    (condition number at most CONDITION_LIMIT). Runs on one BLAS thread.
     """
-    normal = design.T @ design
-    if penalty_diag is None:
-        cond = np.linalg.cond(normal)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise SingularSystemError(
-                f"normal equations condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
-                "add regularization or more samples"
-            )
-    else:
-        normal = normal + float(np.mean(np.diag(normal))) * np.diag(penalty_diag)
-    try:
-        factor = cho_factor(normal)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"normal equations not positive definite: {exc}") from exc
-    return cho_solve(factor, design.T @ rhs)
+    with one_blas_thread():
+        normal = design.T @ design
+        if penalty_diag is None:
+            cond = np.linalg.cond(normal)
+            if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+                raise SingularSystemError(
+                    f"normal equations condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
+                    "add regularization or more samples"
+                )
+        else:
+            normal = normal + float(np.mean(np.diag(normal))) * np.diag(penalty_diag)
+        try:
+            factor = cho_factor(normal)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"normal equations not positive definite: {exc}") from exc
+        return cho_solve(factor, design.T @ rhs)
 
 
 def _check_finite_rows(values, what):

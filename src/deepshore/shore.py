@@ -195,10 +195,11 @@ def shore_design_matrix(samples, radial_order, zeta):
     """Design matrix with one row per sample and one column per (n, l, m).
 
     The angular part does not depend on zeta; the scheme keeps it, so a
-    scale search evaluates it once.
+    scale search evaluates it once. A scale so small that the radial
+    functions overflow is rejected like a non-positive one.
     """
-    if zeta <= 0:
-        raise InvalidArgumentError("zeta must be positive")
+    if not zeta > 0 or not np.isfinite(zeta):
+        raise InvalidArgumentError(f"zeta must be positive and finite, got {zeta}")
     triples = shore_index_set(radial_order)
     sh_basis = samples._sh_basis(radial_order)
     sh_degrees, sh_orders = sh.sh_degree_order_table(radial_order)
@@ -206,10 +207,13 @@ def shore_design_matrix(samples, radial_order, zeta):
 
     matrix = np.empty((len(samples), len(triples)))
     radial_cache = {}
-    for col, (n, l, m) in enumerate(triples):
-        if (n, l) not in radial_cache:
-            radial_cache[(n, l)] = radial_basis_g(n, l, samples.q, zeta)
-        matrix[:, col] = radial_cache[(n, l)] * sh_basis[:, sh_col[(l, m)]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col, (n, l, m) in enumerate(triples):
+            if (n, l) not in radial_cache:
+                radial_cache[(n, l)] = radial_basis_g(n, l, samples.q, zeta)
+            matrix[:, col] = radial_cache[(n, l)] * sh_basis[:, sh_col[(l, m)]]
+    if not np.isfinite(matrix).all():
+        raise InvalidArgumentError(f"SHORE design matrix is not finite at zeta={zeta:g}")
     return matrix
 
 
@@ -267,12 +271,15 @@ def _mean_refit_residual(signals, design, penalty, signals_t=None):
     """Mean squared residual of refitting every row of `signals` on `design`.
 
     `signals_t`, when given, is ``np.ascontiguousarray(signals.T)``, so a
-    caller evaluating many designs transposes the signals once.
+    caller evaluating many designs transposes the signals once. The
+    solve and the reconstruction product run on one BLAS thread, so the
+    residual does not depend on the thread count.
     """
     if signals_t is None:
         signals_t = np.ascontiguousarray(signals.T)
-    coeffs = _solve_regularized(design, penalty, signals.T)
-    residual = design @ coeffs
+    with sh.one_blas_thread():
+        coeffs = _solve_regularized(design, penalty, signals.T)
+        residual = design @ coeffs
     residual -= signals_t
     residual *= residual
     return float(np.mean(residual))
@@ -314,8 +321,8 @@ def optimize_zeta(signals, samples, cfg, zeta0):
         raise InvalidArgumentError("need at least one signal to optimize zeta")
     if signals.shape[1] != len(samples):
         raise InvalidArgumentError("signal length does not match sample count")
-    if zeta0 <= 0:
-        raise InvalidArgumentError("zeta0 must be positive")
+    if not zeta0 > 0 or not np.isfinite(zeta0):
+        raise InvalidArgumentError(f"zeta0 must be positive and finite, got {zeta0}")
 
     signals_t = np.ascontiguousarray(signals.T)
     penalty = _penalty_diag(cfg)
@@ -326,8 +333,8 @@ def optimize_zeta(signals, samples, cfg, zeta0):
             design = shore_design_matrix(samples, cfg.radial_order, float(np.exp(log_zeta)))
             value = _mean_refit_residual(signals, design, penalty, signals_t)
         except (SingularSystemError, ValueError, np.linalg.LinAlgError):
-            # solver refusals (including non-finite data) count as a
-            # non-finite objective
+            # solver refusals and a non-finite design or data count as
+            # a non-finite objective
             value = np.inf
         if not np.isfinite(value):
             raise OptimizationFailureError(

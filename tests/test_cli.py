@@ -413,6 +413,17 @@ class TestNonFiniteVoxel:
         assert code == 2
 
 
+@pytest.mark.parametrize("command, zeta", [
+    ("fit-shore", "nan"), ("fit-shore", "1e-300"), ("fod-to-shore", "nan"),
+])
+def test_scale_without_a_finite_design_is_data_error(tmp_path, capsys, command, zeta):
+    data = make_phantom(tmp_path, voxels=2, rotations=2)
+    code = run_cli([command, "--in", str(data), "--zeta", zeta,
+                    "--out", str(tmp_path / "c.dsc")])
+    assert code == 2
+    assert "zeta" in capsys.readouterr().err
+
+
 class _Captured(Exception):
     pass
 

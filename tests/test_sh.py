@@ -15,6 +15,7 @@ from deepshore import (
     sample_sh,
     sh_coeff_count,
 )
+from deepshore import sh
 from deepshore.sh import fit_sh_many, sh_degree_order_table
 
 
@@ -90,6 +91,35 @@ class TestFitSample:
         for k in range(4):
             single = fit_sh(values[k], dirs100, 8)
             assert np.allclose(batch[k], single.coeffs, atol=1e-12)
+
+
+def _blas_threads(lib):
+    """An OpenBLAS build's thread count, read through its setter."""
+    count = lib.openblas_set_num_threads_local(1)
+    lib.openblas_set_num_threads_local(count)
+    return count
+
+
+class TestOneBlasThread:
+    def test_finds_the_loaded_openblas(self):
+        if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+            pytest.skip("numpy is not built on OpenBLAS")
+        assert sh._openblas_builds()
+
+    def test_restores_the_callers_count_after_an_error(self):
+        builds = sh._openblas_builds()
+        if not builds:
+            pytest.skip("no OpenBLAS loaded")
+        saved = [lib.openblas_set_num_threads_local(2) for lib in builds]
+        try:
+            with pytest.raises(SingularSystemError):
+                with sh.one_blas_thread():
+                    assert [_blas_threads(lib) for lib in builds] == [1] * len(builds)
+                    fit_sh(np.ones(10), generate_uniform_directions(10, seed=1, iterations=50), 8)
+            assert [_blas_threads(lib) for lib in builds] == [2] * len(builds)
+        finally:
+            for lib, count in zip(builds, saved):
+                lib.openblas_set_num_threads_local(count)
 
 
 class TestAcc:

@@ -137,6 +137,11 @@ class TestDesignMatrix:
         m = shore_design_matrix(samples, 6, 700.0)
         assert np.allclose(m[0], m[1], atol=1e-12)
 
+    @pytest.mark.parametrize("zeta", [0.0, -1.0, np.nan, np.inf, 1e-300])
+    def test_scale_without_a_finite_design_rejected(self, four_shell_scheme, zeta):
+        with pytest.raises(InvalidArgumentError, match="zeta"):
+            shore_design_matrix(four_shell_scheme, 6, zeta)
+
 
 class TestFitShore:
     def test_unregularized_roundtrip_recovers_coefficients(self, four_shell_scheme):
@@ -273,6 +278,58 @@ class TestOptimizeZeta:
         with pytest.raises(InvalidArgumentError):
             optimize_zeta(np.ones((1, len(four_shell_scheme))), four_shell_scheme,
                           ShoreFitConfig(), 0.0)
+
+    @pytest.mark.parametrize("zeta0", [np.nan, np.inf])
+    def test_non_finite_zeta0_rejected(self, four_shell_scheme, zeta0):
+        with pytest.raises(InvalidArgumentError, match="zeta0"):
+            optimize_zeta(np.ones((1, len(four_shell_scheme))), four_shell_scheme,
+                          ShoreFitConfig(), zeta0)
+
+    def test_scales_whose_design_overflows_fail_the_search(self, four_shell_scheme):
+        from deepshore import OptimizationFailureError
+
+        with pytest.raises(OptimizationFailureError):
+            optimize_zeta(np.ones((1, len(four_shell_scheme))), four_shell_scheme,
+                          ShoreFitConfig(), 1e-300)
+
+
+_THREAD_PROBE = """
+import hashlib, sys
+from deepshore import io, pipeline, shore
+from deepshore.nonneg import NonNegConfig, clamp_log
+dataset = io.read_dataset(sys.argv[1])
+mask = pipeline.shell_mask(dataset.samples, None, 6000.0)
+samples = dataset.samples.subset(mask)
+signals = clamp_log(dataset.signals[:, mask], NonNegConfig())
+cfg = shore.ShoreFitConfig()
+zeta = shore.optimize_zeta(signals, samples, cfg, shore.default_zeta0(samples))
+coeffs = shore.fit_shore_many(signals, samples, cfg, zeta)
+print(zeta.hex(), hashlib.sha256(coeffs.tobytes()).hexdigest())
+"""
+
+
+def test_scale_search_and_fit_do_not_depend_on_blas_threads(tmp_path):
+    """The all-voxel scale and fit of a noisy log-domain phantom are the same
+    bits at one and at two BLAS threads (where the host has two CPUs, the
+    unpinned gemm of 3,030 columns splits and rounds differently)."""
+    import os
+    import subprocess
+    import sys
+
+    from deepshore.cli import run_cli
+
+    data = tmp_path / "d.dsc"
+    assert run_cli(["phantom", "--voxels", "30", "--rotations", "100", "--snr", "30",
+                    "--seed", "3", "--out", str(data)]) == 0
+    src = os.path.dirname(os.path.dirname(shore.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(data)], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def _ref_optimize_zeta(signals, samples, cfg, zeta0, max_iterations=100,
