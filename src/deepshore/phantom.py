@@ -121,6 +121,10 @@ class PhantomConfig:
             raise InvalidArgumentError("need at least one shell")
         if self.n_voxels < 1:
             raise InvalidArgumentError("n_voxels must be >= 1")
+        if self.rotations_per_voxel < 0:
+            raise InvalidArgumentError(
+                f"rotations_per_voxel must be >= 0, got {self.rotations_per_voxel}"
+            )
         if self.kappa_watson <= 0 or self.snr <= 0:
             raise InvalidArgumentError("kappa_watson and snr must be positive")
         if not 1 <= self.max_fibers <= 3:

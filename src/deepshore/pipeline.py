@@ -58,6 +58,8 @@ class PipelineConfig:
             )
         if self.eval_folds < 2:
             raise InvalidArgumentError("eval_folds must be >= 2")
+        if self.max_folds is not None and self.max_folds < 1:
+            raise InvalidArgumentError(f"max_folds must be >= 1, got {self.max_folds}")
 
     def to_dict(self):
         out = asdict(self)

@@ -119,11 +119,13 @@ def one_blas_thread():
     """Run the block on one BLAS thread, then restore the caller's count.
 
     OpenBLAS may split a product over threads in an order that changes
-    its last bits, so the solves and the scale search pin one thread:
-    their results then do not depend on the thread count, and at the
-    sizes measured one thread was no slower. The setting is the library's,
-    not the calling thread's, so concurrent callers would share it.
-    Without a loaded OpenBLAS this does nothing.
+    its last bits, so the solves pin their matrix products to one thread:
+    the results then do not depend on the thread count. One-off fits pin
+    their whole solve (see `shore.fit_shore_many`); the scale search's
+    Cholesky solves run at the process's count, and the search then
+    calls `_stop_blas_workers`. The pin nests.
+    The setting is the library's, not the calling thread's, so concurrent
+    callers would share it. Without a loaded OpenBLAS this does nothing.
     """
     builds = _openblas_builds()
     previous = [lib.openblas_set_num_threads_local(1) for lib in builds]
@@ -134,6 +136,18 @@ def one_blas_thread():
             lib.openblas_set_num_threads_local(count)
 
 
+def _stop_blas_workers():
+    """Stop the worker threads of the loaded OpenBLAS builds.
+
+    After a call on several threads the workers spin for about 0.1 s
+    waiting for more work, and meanwhile slow the products that follow.
+    OpenBLAS starts them again at its next call on several threads.
+    """
+    for lib in _openblas_builds():
+        if hasattr(lib, "blas_thread_shutdown_"):
+            lib.blas_thread_shutdown_()
+
+
 def _solve_regularized(design, penalty_diag, rhs):
     """Solve (X'X + s * diag(penalty)) c = X' rhs for one or many rhs columns.
 
@@ -142,24 +156,31 @@ def _solve_regularized(design, penalty_diag, rhs):
     means "1e-8 relative to the data term" regardless of how the basis
     normalization or the sampling scheme size the design columns.
     Without a penalty the normal equations must be well conditioned
-    (condition number at most CONDITION_LIMIT). Runs on one BLAS thread.
+    (condition number at most CONDITION_LIMIT).
+
+    The products X'X and X' rhs run on one BLAS thread, because their
+    bits depend on the thread count. The Cholesky factor and the
+    triangular solves run at the caller's count: they split the rhs
+    columns over threads and run every column through the same kernel,
+    so their bits do not depend on it.
     """
     with one_blas_thread():
         normal = design.T @ design
-        if penalty_diag is None:
-            cond = np.linalg.cond(normal)
-            if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-                raise SingularSystemError(
-                    f"normal equations condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
-                    "add regularization or more samples"
-                )
-        else:
-            normal = normal + float(np.mean(np.diag(normal))) * np.diag(penalty_diag)
-        try:
-            factor = cho_factor(normal)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"normal equations not positive definite: {exc}") from exc
-        return cho_solve(factor, design.T @ rhs)
+        xty = design.T @ rhs
+    if penalty_diag is None:
+        cond = np.linalg.cond(normal)
+        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+            raise SingularSystemError(
+                f"normal equations condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
+                "add regularization or more samples"
+            )
+    else:
+        normal = normal + float(np.mean(np.diag(normal))) * np.diag(penalty_diag)
+    try:
+        factor = cho_factor(normal)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"normal equations not positive definite: {exc}") from exc
+    return cho_solve(factor, xty)
 
 
 def _check_finite_rows(values, what):
@@ -189,12 +210,16 @@ def fit_sh(values, dirs, max_degree):
 
 
 def fit_sh_many(values, dirs, max_degree):
-    """Fit one series per row of `values`; returns the coefficient matrix."""
+    """Fit one series per row of `values`; returns the coefficient matrix.
+
+    The whole solve runs on one BLAS thread, as in `shore.fit_shore_many`.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(dirs):
         raise InvalidArgumentError("values must have shape (n_series, n_directions)")
     _check_finite_rows(values, "values")
-    return _solve_regularized(eval_sh_basis(dirs, max_degree), None, values.T).T
+    with one_blas_thread():
+        return _solve_regularized(eval_sh_basis(dirs, max_degree), None, values.T).T
 
 
 def sample_sh(series, dirs):

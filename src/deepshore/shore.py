@@ -244,13 +244,19 @@ def fit_shore(signal, samples, cfg, zeta):
 
 
 def fit_shore_many(signals, samples, cfg, zeta):
-    """Fit one series per row of `signals`; returns the coefficient matrix."""
+    """Fit one series per row of `signals`; returns the coefficient matrix.
+
+    The whole solve runs on one BLAS thread. After a solve at full width,
+    OpenBLAS's workers spin for about 0.1 s and slow the products that
+    follow, such as training's right after a fit in `crossval`.
+    """
     signals = np.asarray(signals, dtype=float)
     if signals.ndim != 2 or signals.shape[1] != len(samples):
         raise InvalidArgumentError("signals must have shape (n_voxels, n_samples)")
     _check_finite_rows(signals, "signal")
     design = shore_design_matrix(samples, cfg.radial_order, zeta)
-    return _solve_regularized(design, _penalty_diag(cfg), signals.T).T
+    with sh.one_blas_thread():
+        return _solve_regularized(design, _penalty_diag(cfg), signals.T).T
 
 
 def reconstruct_signal(series, samples):
@@ -272,13 +278,13 @@ def _mean_refit_residual(signals, design, penalty, signals_t=None):
 
     `signals_t`, when given, is ``np.ascontiguousarray(signals.T)``, so a
     caller evaluating many designs transposes the signals once. The
-    solve and the reconstruction product run on one BLAS thread, so the
-    residual does not depend on the thread count.
+    products run on one BLAS thread and the triangular solves at the
+    caller's count, so the residual does not depend on the thread count.
     """
     if signals_t is None:
         signals_t = np.ascontiguousarray(signals.T)
+    coeffs = _solve_regularized(design, penalty, signals.T)
     with sh.one_blas_thread():
-        coeffs = _solve_regularized(design, penalty, signals.T)
         residual = design @ coeffs
     residual -= signals_t
     residual *= residual
@@ -400,5 +406,8 @@ def optimize_zeta(signals, samples, cfg, zeta0):
             curvature = y / s
         t, f = t_new, f_new
 
+    # the solves ran at the process's thread count; their idle workers
+    # would spin into the caller's next products, such as training's
+    sh._stop_blas_workers()
     return float(np.exp(best_t))
 

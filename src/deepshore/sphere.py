@@ -153,19 +153,25 @@ def _pair_terms(points):
     return diff, summ, _norms(diff), _norms(summ)
 
 
+def _energy(terms):
+    """Repulsion energy from the ``_pair_terms`` of a configuration."""
+    _, _, dm, dp = terms
+    return float(np.sum(1.0 / dm) + np.sum(1.0 / dp))
+
+
 def repulsion_energy(points):
     """Antipodally symmetrized Coulomb energy of a point configuration."""
     points = np.asarray(points, dtype=float)
     if points.shape[0] < 2:
         return 0.0
-    _, _, dm, dp = _pair_terms(points)
-    return float(np.sum(1.0 / dm) + np.sum(1.0 / dp))
+    return _energy(_pair_terms(points))
 
 
-def _repulsion_gradient(points):
+def _repulsion_gradient(points, terms):
+    """Energy gradient at `points`, whose ``_pair_terms`` are `terms`."""
     n = points.shape[0]
     _, _, ij = _pair_indices(n)
-    diff, summ, dm, dp = _pair_terms(points)
+    diff, summ, dm, dp = terms
     gm = -diff / dm**3
     gp = -summ / dp**3
     # the terms of point i of each pair, then those of point j; one
@@ -224,19 +230,22 @@ def generate_uniform_directions(n, seed, iterations=1000):
     if n == 1:
         return DirectionSet(points)
 
-    energy = repulsion_energy(points)
+    # the pair terms of an accepted candidate serve the next gradient
+    terms = _pair_terms(points)
+    energy = _energy(terms)
     step = 0.1
     for _ in range(iterations):
-        grad = _repulsion_gradient(points)
+        grad = _repulsion_gradient(points, terms)
         # project onto the tangent plane of each point
         grad -= np.sum(grad * points, axis=1, keepdims=True) * points
         moved = False
         for _ in range(40):
             cand = points - step * grad
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            cand_energy = repulsion_energy(cand)
+            cand_terms = _pair_terms(cand)
+            cand_energy = _energy(cand_terms)
             if cand_energy < energy:
-                points, energy = cand, cand_energy
+                points, terms, energy = cand, cand_terms, cand_energy
                 step *= 1.5
                 moved = True
                 break

@@ -62,6 +62,13 @@ class TestPhantomCommand:
         assert code == 0
         assert len(read_dataset(out)) == 505  # 5 blocks of 1 + 100 rotations
 
+    def test_negative_rotation_count_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "neg.dsc"
+        code = run_cli(["phantom", "--voxels", "2", "--rotations", "-1", "--out", str(out)])
+        assert code == 2
+        assert "-1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFitShoreCommand:
     def test_fit_writes_coeffs(self, tmp_path):
@@ -310,6 +317,16 @@ class TestCrossvalCommand:
         # the command-line epochs value wins over the config file
         method = doc["methods"]["opt-shore-to-shore"]
         assert method["config"]["train"]["epochs"] == 3
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_fold_limit_below_one_is_data_error(self, tmp_path, capsys, value):
+        data = make_phantom(tmp_path, voxels=9, rotations=8, seed=7)
+        report = tmp_path / "r.json"
+        code = run_cli(["crossval", "--in", str(data), "--eval-folds", "3",
+                        "--max-folds", value, "--epochs", "2", "--report", str(report)])
+        assert code == 2
+        assert f"max_folds must be >= 1, got {value}" in capsys.readouterr().err
+        assert not report.exists()
 
     def test_bad_shell_selection_is_data_error(self, tmp_path):
         data = make_phantom(tmp_path)

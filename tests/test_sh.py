@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from deepshore import (
     sample_sh,
     sh_coeff_count,
 )
-from deepshore import sh
+from deepshore import sh, shore
 from deepshore.sh import fit_sh_many, sh_degree_order_table
 
 
@@ -93,6 +95,11 @@ class TestFitSample:
             assert np.allclose(batch[k], single.coeffs, atol=1e-12)
 
 
+def _three_shells(dirs):
+    return shore.QSpaceSamples(np.repeat([1000.0, 2000.0, 3000.0], len(dirs)),
+                               np.tile(dirs.vectors, (3, 1)))
+
+
 def _blas_threads(lib):
     """An OpenBLAS build's thread count, read through its setter."""
     count = lib.openblas_set_num_threads_local(1)
@@ -117,6 +124,72 @@ class TestOneBlasThread:
                     assert [_blas_threads(lib) for lib in builds] == [1] * len(builds)
                     fit_sh(np.ones(10), generate_uniform_directions(10, seed=1, iterations=50), 8)
             assert [_blas_threads(lib) for lib in builds] == [2] * len(builds)
+        finally:
+            for lib, count in zip(builds, saved):
+                lib.openblas_set_num_threads_local(count)
+
+    def test_only_the_products_are_pinned_in_the_scale_search(self, monkeypatch):
+        """At each product and each ``cho_solve`` call, record every loaded
+        build's thread count: the products run on one thread, the solves
+        of a scale-search objective at the caller's count and those of a
+        one-off fit on one thread."""
+        builds = sh._openblas_builds()
+        if not builds:
+            pytest.skip("no OpenBLAS loaded")
+        log = []
+
+        class Recording(np.ndarray):
+            def __matmul__(self, other):
+                log.append(("product", [_blas_threads(lib) for lib in builds]))
+                return np.matmul(np.asarray(self), np.asarray(other))
+
+        def recording(function):
+            return lambda *args: function(*args).view(Recording)
+
+        real_solve = sh.cho_solve
+
+        def solve(*args):
+            log.append(("solve", [_blas_threads(lib) for lib in builds]))
+            return real_solve(*args)
+
+        monkeypatch.setattr(sh, "cho_solve", solve)
+        monkeypatch.setattr(shore, "shore_design_matrix", recording(shore.shore_design_matrix))
+        monkeypatch.setattr(sh, "eval_sh_basis", recording(sh.eval_sh_basis))
+        dirs = generate_uniform_directions(30, seed=1, iterations=50)
+        samples = _three_shells(dirs)
+        signals = np.random.default_rng(0).random((5, len(samples)))
+        cfg = shore.ShoreFitConfig()
+        one, caller = [1] * len(builds), [2] * len(builds)
+        saved = [lib.openblas_set_num_threads_local(2) for lib in builds]
+        try:
+            design = shore.shore_design_matrix(samples, cfg.radial_order, 700.0)
+            shore._mean_refit_residual(signals, design, shore._penalty_diag(cfg))
+            assert log == [("product", one)] * 2 + [("solve", caller), ("product", one)]
+            log.clear()
+            shore.fit_shore_many(signals, samples, cfg, 700.0)
+            assert log == [("product", one)] * 2 + [("solve", one)]
+            log.clear()
+            fit_sh_many(signals[:, :30], dirs, 4)
+            assert log == [("product", one)] * 2 + [("solve", one)]
+            assert [_blas_threads(lib) for lib in builds] == caller
+        finally:
+            for lib, count in zip(builds, saved):
+                lib.openblas_set_num_threads_local(count)
+
+    def test_scale_search_stops_the_blas_workers(self):
+        """No OpenBLAS worker is left after the search to spin into the
+        caller's next products."""
+        builds = sh._openblas_builds()
+        if not builds or not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs OpenBLAS and /proc/self/task")
+        samples = _three_shells(generate_uniform_directions(30, seed=1, iterations=50))
+        signals = np.exp(-samples.bvalues / 2000.0) * np.ones((2000, 1))
+        saved = [lib.openblas_set_num_threads_local(2) for lib in builds]
+        try:
+            sh._solve_regularized(np.eye(90, 50), None, np.ones((90, 2000)))
+            running = len(os.listdir("/proc/self/task"))
+            shore.optimize_zeta(signals, samples, shore.ShoreFitConfig(), 700.0)
+            assert len(os.listdir("/proc/self/task")) < running
         finally:
             for lib, count in zip(builds, saved):
                 lib.openblas_set_num_threads_local(count)

@@ -310,8 +310,9 @@ print(zeta.hex(), hashlib.sha256(coeffs.tobytes()).hexdigest())
 
 def test_scale_search_and_fit_do_not_depend_on_blas_threads(tmp_path):
     """The all-voxel scale and fit of a noisy log-domain phantom are the same
-    bits at one and at two BLAS threads (where the host has two CPUs, the
-    unpinned gemm of 3,030 columns splits and rounds differently)."""
+    bits at one, two and three BLAS threads (where the host has two CPUs, an
+    unpinned gemm of 3,030 columns splits and rounds differently; three
+    threads exceed the CPU count of such a host)."""
     import os
     import subprocess
     import sys
@@ -323,13 +324,13 @@ def test_scale_search_and_fit_do_not_depend_on_blas_threads(tmp_path):
                     "--seed", "3", "--out", str(data)]) == 0
     src = os.path.dirname(os.path.dirname(shore.__file__))
     outputs = []
-    for threads in ("1", "2"):
+    for threads in ("1", "2", "3"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         done = subprocess.run([sys.executable, "-c", _THREAD_PROBE, str(data)], env=env,
                               capture_output=True, text=True, check=True)
         outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def _ref_optimize_zeta(signals, samples, cfg, zeta0, max_iterations=100,

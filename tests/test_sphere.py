@@ -166,11 +166,16 @@ class TestRepulsionBitExact:
     @pytest.mark.parametrize("n", [2, 3, 17, 100])
     def test_kernels_match_reference(self, n):
         points = _random_points(n, seed=n)
-        assert sphere._repulsion_gradient(points).tobytes() == _ref_gradient(points).tobytes()
+        got = sphere._repulsion_gradient(points, sphere._pair_terms(points))
+        assert got.tobytes() == _ref_gradient(points).tobytes()
         assert repulsion_energy(points).hex() == _ref_energy(points).hex()
 
+    # the reference loop computes the pair terms of every accepted
+    # configuration again for its gradient; the package reuses them
     @pytest.mark.parametrize("n, seed, iterations",
-                             [(2, 0, 50), (3, 1, 100), (40, 2, 200), (100, 11, 150)])
+                             [(2, 0, 50), (3, 1, 100), (40, 2, 200), (100, 11, 150),
+                              (100, 11, 500), (25, 1003, 200), (25, 4001, 200),
+                              (60, 5, 1000)])
     def test_directions_match_reference(self, n, seed, iterations):
         got = generate_uniform_directions(n, seed, iterations).vectors
         assert got.tobytes() == _ref_generate(n, seed, iterations).tobytes()
