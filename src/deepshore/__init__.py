@@ -36,10 +36,7 @@ from .phantom import (
     PhantomConfig,
     PhantomDataset,
     TensorCompartment,
-    add_rician_noise,
     generate_dataset,
-    ground_truth_fod,
-    simulate_signal,
 )
 from .pipeline import (
     EvalReport,
@@ -52,30 +49,21 @@ from .sh import (
     ShSeries,
     acc,
     eval_sh_basis,
-    fit_sh,
-    rotate_sh,
-    sample_sh,
     sh_coeff_count,
 )
 from .shore import (
     QSpaceSamples,
     ShoreFitConfig,
-    ShoreSeries,
-    fit_shore,
     laguerre,
     optimize_zeta,
     radial_basis_g,
-    reconstruct_signal,
     shore_coeff_count,
     shore_design_matrix,
 )
 from .sphere import (
     DirectionSet,
-    Rotation,
     SphereQuadrature,
     gauss_sphere_quadrature,
     generate_uniform_directions,
-    random_rotation,
-    rotate_directions,
 )
 from .stats import bonferroni, summarize_report, wilcoxon_signed_rank

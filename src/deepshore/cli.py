@@ -272,8 +272,6 @@ def build_parser():
                    help="train on all training rows, no inner validation fold")
     _add_common_shore_flags(p)
     p.add_argument("--report", type=str, default=None)
-    p.add_argument("--out", type=str, default=None,
-                   help="also write the report as a container file")
     return parser
 
 
@@ -507,13 +505,6 @@ def _cmd_crossval(args, file_cfg):
     }
     if args.report:
         io.write_report(args.report, document)
-    if args.out:
-        slim = json.loads(json.dumps(document))
-        acc_arrays = []
-        for name, method in slim["methods"].items():
-            acc_arrays.append((f"acc_{name}", np.array(method.pop("acc"))))
-        slim.pop("created_at")
-        io.write_report_container(args.out, slim, acc_arrays)
     return 0
 
 

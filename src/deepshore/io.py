@@ -3,8 +3,8 @@
 Container layout: 8 magic bytes ``DSHORE01``, an unsigned little-endian
 32-bit header length, a UTF-8 JSON header, then the payload as
 little-endian 32-bit floats, row-major, segment by segment in header
-order. The header declares the kind (dataset, coeffs, model or report),
-the dtype tag ``f32le``, every segment's name and shape, and free-form
+order. The header declares the kind (dataset, coeffs or model), the
+dtype tag ``f32le``, every segment's name and shape, and free-form
 metadata (scale, orders, seeds, config echo). Headers are serialized
 with sorted keys so identical content produces identical bytes.
 """
@@ -19,11 +19,12 @@ from .errors import ContainerFormatError, InvalidArgumentError
 from .net import HIDDEN_WIDTHS, MlpArchitecture, MlpModel
 from .phantom import PhantomDataset
 from .pipeline import FodRegressor, _Standardizer
+from .sh import _check_finite_rows
 from .shore import QSpaceSamples
 from .sphere import DirectionSet
 
 MAGIC = b"DSHORE01"
-KINDS = ("dataset", "coeffs", "model", "report")
+KINDS = ("dataset", "coeffs", "model")
 
 
 @dataclass
@@ -184,10 +185,12 @@ def read_dataset(path):
         box.segments["bvalues"].astype(float),
         DirectionSet.normalized(box.segments["directions"].astype(float)),
     )
+    fod_coeffs = box.segments["fod_coeffs"].astype(float)
+    _check_finite_rows(fod_coeffs, f"{path}: fod_coeffs")
     return PhantomDataset(
         signals=box.segments["signals"].astype(float),
         samples=samples,
-        fod_coeffs=box.segments["fod_coeffs"].astype(float),
+        fod_coeffs=fod_coeffs,
         sh_order=_field(box.metadata, "sh_order", path, "meta", _integral),
         block_ids=np.rint(box.segments["block_ids"]).astype(int),
         config=None,
@@ -219,6 +222,9 @@ def read_coeffs(path):
     if "coeffs" not in box.segments:
         raise ContainerFormatError("coeffs container has no 'coeffs' segment")
     coeffs = box.segments["coeffs"].astype(float)
+    if coeffs.ndim != 2:
+        raise ContainerFormatError(f"{path}: 'coeffs' segment has shape {coeffs.shape}, not 2-D")
+    _check_finite_rows(coeffs, f"{path}: coefficient")
     meta = dict(box.metadata)
     if "block_ids" in box.segments:
         meta["block_ids"] = np.rint(box.segments["block_ids"]).astype(int)
@@ -288,16 +294,10 @@ def read_report(path):
         return json.load(fh)
 
 
-def write_report_container(path, report, acc_arrays):
-    """Report as a container: JSON metadata plus per-method ACC payloads."""
-    segments = [(name, np.asarray(values, dtype=float)) for name, values in acc_arrays]
-    write_container(path, "report", segments, report)
-
-
 def write_bvals_bvecs(bval_path, bvec_path, samples):
     """FSL-style gradient table: b-values on one line, vectors on three."""
     with open(bval_path, "w", encoding="utf-8") as fh:
-        fh.write(" ".join(f"{b:.6g}" for b in samples.bvalues) + "\n")
+        fh.write(" ".join(f"{b:.17g}" for b in samples.bvalues) + "\n")
     write_directions_text(bvec_path, samples.directions)
 
 

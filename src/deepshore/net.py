@@ -60,6 +60,14 @@ class TrainConfig:
             raise InvalidArgumentError("epochs must be >= 1")
         if self.k_folds < 2:
             raise InvalidArgumentError("k_folds must be >= 2")
+        for name in ("learning_rate", "stabilizer"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
+        for name in ("decay", "momentum"):
+            value = getattr(self, name)
+            if not 0 <= value < 1:
+                raise InvalidArgumentError(f"{name} must lie in [0, 1), got {value}")
 
 
 class MlpModel:

@@ -87,17 +87,6 @@ class TensorCompartment:
     def axis(self):
         return _unit(np.asarray(self.orientation, dtype=float))
 
-    def tensor(self):
-        """Full 3x3 diffusion tensor with a deterministic transverse frame."""
-        return _tensors(self.axis(), np.asarray(self.eigenvalues, dtype=float))
-
-    def rotated(self, rotation):
-        return TensorCompartment(
-            tuple(self.eigenvalues),
-            tuple(_rotate(rotation.matrix, self.axis())),
-            self.fraction,
-        )
-
 
 @dataclass(frozen=True)
 class PhantomConfig:
@@ -140,18 +129,14 @@ def _stack(compartments):
     )
 
 
-def simulate_signal(compartments, samples):
-    """Multi-tensor forward model, normalized to 1 at b = 0.
-
-    S_i = sum_c f_c exp(-b_i g_i' D_c g_i); the fractions must sum to 1.
-    """
-    axes, eigenvalues, fractions = _stack(compartments)
-    return _signals(axes[None], eigenvalues, fractions, samples)[0]
-
-
 def _signals(axes, eigenvalues, fractions, samples):
-    """`simulate_signal` of rows of compartments that differ only in their
-    unit axes (rows, C, 3); eigenvalues (C, 3) and fractions (C,) are shared."""
+    """Multi-tensor forward model, normalized to 1 at b = 0, of rows of
+    compartments that differ only in their unit axes (rows, C, 3); the
+    eigenvalues (C, 3) and fractions (C,) are shared.
+
+    Row r holds S_i = sum_c f_c exp(-b_i g_i' D_rc g_i); the fractions must
+    sum to 1.
+    """
     if abs(fractions.sum() - 1.0) > _FRACTION_TOL:
         raise InvalidArgumentError(
             f"compartment fractions must sum to 1, got {fractions.sum():.12f}"
@@ -178,7 +163,10 @@ def watson_density(points, mean_axis, kappa):
 
 
 class FodProjector:
-    """Quadrature projection of Watson mixtures, with the basis cached."""
+    """Quadrature projection of Watson mixtures onto even harmonics, with
+    the basis cached. A mixture integrates to 1 and is antipodally
+    symmetric, so its odd-degree terms, which the basis leaves out, are
+    zero."""
 
     def __init__(self, quad, max_degree):
         if not isinstance(quad, SphereQuadrature):
@@ -206,25 +194,10 @@ class FodProjector:
         return coeffs
 
 
-def ground_truth_fod(compartments, max_degree, kappa, quad):
-    """Project the Watson mixture of the compartments onto even harmonics.
-
-    The mixture integrates to 1 and is antipodally symmetric, so the
-    even-degree projection loses nothing of the symmetric part.
-    """
-    return FodProjector(quad, max_degree).project(compartments, kappa)
-
-
-def add_rician_noise(values, snr, seed):
-    """Magnitude-MRI noise: sqrt((v + n1)^2 + n2^2), sigma = 1/snr.
-
-    An infinite snr returns the values unchanged.
-    """
-    return _rician(np.asarray(values, dtype=float)[None], snr, [seed])[0]
-
-
 def _rician(values, snr, seeds):
-    """`add_rician_noise` of each values[k] with its own seeds[k]."""
+    """Magnitude-MRI noise on each row: sqrt((v + n1)^2 + n2^2) with
+    sigma = 1/snr, both noise draws from a generator seeded by seeds[k]
+    for row k. An infinite snr returns a copy of the values."""
     if snr <= 0:
         raise InvalidArgumentError("snr must be positive")
     if math.isinf(snr):
@@ -307,15 +280,14 @@ def generate_dataset(cfg):
     noise seed per row.
 
     A block is built with array operations over its rows, and its values
-    are bitwise those of the per-row functions (`TensorCompartment.rotated`
-    under `haar_rotation`, `simulate_signal`, `FodProjector.project`,
-    `add_rician_noise`) at any BLAS thread count. Elementwise arithmetic
-    is batched as written. Every reduction that a per-row function makes
-    through BLAS stays the same call, once per row, by stacked
-    ``np.matmul``: a vector norm or dot is one ddot, a matrix-vector
-    product one gemv. Norms by ``norm(axis=1)``, summed squares or
-    ``einsum("ij,ij->i")``, and one gemm in place of a block's gemvs,
-    round differently.
+    are bitwise those of the generator one row and one compartment at a
+    time (``tests/test_phantom.py::_ref_generate_dataset``) at any BLAS
+    thread count. Elementwise arithmetic is batched as written. Every
+    reduction that the per-row reference makes through BLAS stays the
+    same call, once per row, by stacked ``np.matmul``: a vector norm or
+    dot is one ddot, a matrix-vector product one gemv. Norms by
+    ``norm(axis=1)``, summed squares or ``einsum("ij,ij->i")``, and one
+    gemm in place of a block's gemvs, round differently.
     """
     projector = FodProjector(gauss_sphere_quadrature(40, 81), cfg.sh_order)
     samples = build_acquisition(cfg)

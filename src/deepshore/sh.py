@@ -21,7 +21,7 @@ from .errors import (
     SingularSystemError,
     UndefinedCorrelationError,
 )
-from .sphere import _row_dots, rotate_directions
+from .sphere import _row_dots
 
 CONDITION_LIMIT = 1e12
 
@@ -193,22 +193,6 @@ def _check_finite_rows(values, what):
         )
 
 
-def fit_sh(values, dirs, max_degree):
-    """Least-squares fit of sphere samples.
-
-    Minimizes ``|B c - values|^2``. The normal equations must be well
-    conditioned (limit 1e12), otherwise a SingularSystemError is raised.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(dirs),):
-        raise InvalidArgumentError(
-            f"got {values.shape[0] if values.ndim == 1 else values.shape} values "
-            f"for {len(dirs)} directions"
-        )
-    coeffs = fit_sh_many(values[None, :], dirs, max_degree)
-    return ShSeries(max_degree, coeffs[0])
-
-
 def fit_sh_many(values, dirs, max_degree):
     """Fit one series per row of `values`; returns the coefficient matrix.
 
@@ -220,11 +204,6 @@ def fit_sh_many(values, dirs, max_degree):
     _check_finite_rows(values, "values")
     with one_blas_thread():
         return _solve_regularized(eval_sh_basis(dirs, max_degree), None, values.T).T
-
-
-def sample_sh(series, dirs):
-    """Evaluate a series at each direction."""
-    return eval_sh_basis(dirs, series.max_degree) @ series.coeffs
 
 
 def acc(u, v, max_degree=None):
@@ -267,20 +246,3 @@ def _row_acc(pred, truth, max_degree):
             "coefficients of degree >= 2"
         )
     return _row_dots(u, v) / (nu * nv)
-
-
-def rotate_sh(series, rotation, resample_dirs):
-    """Rotate a sphere function by sampling and refitting.
-
-    The rotated function g satisfies g(d) = f(R^T d); it is sampled on
-    `resample_dirs` and refit at the same maximum degree, so the
-    direction set must be at least as large as the coefficient count.
-    """
-    count = sh_coeff_count(series.max_degree)
-    if len(resample_dirs) < count:
-        raise InvalidArgumentError(
-            f"need at least {count} directions to refit degree {series.max_degree}"
-        )
-    pulled_back = rotate_directions(resample_dirs, rotation.inverse())
-    values = sample_sh(series, pulled_back)
-    return fit_sh(values, resample_dirs, series.max_degree)

@@ -117,29 +117,6 @@ def shore_coeff_count(radial_order):
     return len(shore_index_set(radial_order))
 
 
-class ShoreSeries:
-    """Coefficients of one q-space expansion at a fixed scale."""
-
-    def __init__(self, radial_order, zeta, coeffs):
-        _check_even(radial_order, "radial_order")
-        if zeta <= 0:
-            raise InvalidArgumentError("zeta must be positive")
-        c = np.array(coeffs, dtype=float)
-        expected = shore_coeff_count(radial_order)
-        if c.shape != (expected,):
-            raise InvalidArgumentError(
-                f"expected {expected} coefficients at radial order {radial_order}, "
-                f"got shape {c.shape}"
-            )
-        c.flags.writeable = False
-        self.radial_order = radial_order
-        self.zeta = float(zeta)
-        self.coeffs = c
-
-    def __repr__(self):
-        return f"ShoreSeries(radial_order={self.radial_order}, zeta={self.zeta:g})"
-
-
 def laguerre(k, alpha, x):
     """Associated Laguerre polynomial L_k^(alpha)(x) by the stable recurrence.
 
@@ -225,24 +202,6 @@ def _penalty_diag(cfg):
     return diag if diag.any() else None
 
 
-def fit_shore(signal, samples, cfg, zeta):
-    """Regularized least-squares estimate of the expansion coefficients.
-
-    Minimizes ``|M c - signal|^2 + s * (lambda_n |diag(n(n+1)) c|^2
-    + lambda_l |diag(l(l+1)) c|^2)`` where s is the mean diagonal of the
-    normal matrix, making the constants dimensionless. With both
-    constants zero the normal equations must be well conditioned,
-    otherwise SingularSystemError.
-    """
-    signal = np.asarray(signal, dtype=float)
-    if signal.shape != (len(samples),):
-        raise InvalidArgumentError(
-            f"signal length {signal.shape} does not match {len(samples)} samples"
-        )
-    coeffs = fit_shore_many(signal[None, :], samples, cfg, zeta)
-    return ShoreSeries(cfg.radial_order, zeta, coeffs[0])
-
-
 def fit_shore_many(signals, samples, cfg, zeta):
     """Fit one series per row of `signals`; returns the coefficient matrix.
 
@@ -257,12 +216,6 @@ def fit_shore_many(signals, samples, cfg, zeta):
     design = shore_design_matrix(samples, cfg.radial_order, zeta)
     with sh.one_blas_thread():
         return _solve_regularized(design, _penalty_diag(cfg), signals.T).T
-
-
-def reconstruct_signal(series, samples):
-    """Evaluate a fitted expansion at the given q-space samples."""
-    design = shore_design_matrix(samples, series.radial_order, series.zeta)
-    return design @ series.coeffs
 
 
 def default_zeta0(samples):

@@ -80,24 +80,6 @@ def _check_rotations(matrices):
         raise InvalidArgumentError("matrix is not a proper rotation (det != +1)")
 
 
-class Rotation:
-    """A proper rotation of 3-space (orthonormal matrix, determinant +1)."""
-
-    def __init__(self, matrix):
-        m = np.array(matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise InvalidArgumentError(f"expected 3x3 matrix, got {m.shape}")
-        _check_rotations(m)
-        m.flags.writeable = False
-        self.matrix = m
-
-    def inverse(self):
-        return Rotation(self.matrix.T)
-
-    def __repr__(self):
-        return f"Rotation({self.matrix.tolist()})"
-
-
 class SphereQuadrature:
     """Nodes and positive weights integrating functions over the sphere."""
 
@@ -116,10 +98,6 @@ class SphereQuadrature:
         w.flags.writeable = False
         self.nodes = nodes
         self.weights = w
-
-    def integrate(self, values):
-        """Integrate sampled values (last axis = nodes) over the sphere."""
-        return np.asarray(values, dtype=float) @ self.weights
 
 
 @functools.cache
@@ -267,39 +245,18 @@ def _rotation_from_quaternion(q):
 
 
 def _haar_matrices(rng, count):
-    """Draw `count` Haar-uniform rotation matrices (count, 3, 3) at once.
+    """Draw `count` Haar-uniform rotation matrices (count, 3, 3) from `rng`.
 
-    The quaternions come from one ``rng.standard_normal((count, 4))``,
-    which continues the stream as `count` single draws would, so the
-    matrices are bitwise those of `count` calls of ``haar_rotation``.
-    Every matrix is checked to be a proper rotation.
+    Each is the rotation of a unit quaternion, four standard normal draws
+    divided by their norm, which is uniform on SO(3). The quaternions come
+    from one ``rng.standard_normal((count, 4))``, which takes the same
+    values from the stream as `count` draws of four. Every matrix is
+    checked to be a proper rotation.
     """
     q = rng.standard_normal((count, 4))
     matrices = _rotation_from_quaternion(_unit(q))
     _check_rotations(matrices)
     return matrices
-
-
-def haar_rotation(rng):
-    """Draw one Haar-uniform rotation from an existing generator."""
-    return Rotation(_haar_matrices(rng, 1)[0])
-
-
-def random_rotation(seed):
-    """Haar-uniform random rotation, deterministic per seed.
-
-    Draws a quaternion from four seeded Gaussians and normalizes it; the
-    induced rotation matrix is uniform on SO(3).
-    """
-    return haar_rotation(np.random.default_rng(seed))
-
-
-def rotate_directions(dirs, rotation):
-    """Apply a rotation to every direction, preserving order."""
-    out = dirs.vectors @ rotation.matrix.T
-    # rotations are isometries; renormalize only to scrub accumulated roundoff
-    out /= np.linalg.norm(out, axis=1, keepdims=True)
-    return DirectionSet(out)
 
 
 def gauss_sphere_quadrature(n_polar, n_azimuth):

@@ -265,25 +265,26 @@ class TestTrainPredictEvaluate:
 
 
 class TestCrossvalCommand:
-    def test_two_subcases_with_report_and_container(self, tmp_path):
+    def test_two_subcases_with_report(self, tmp_path):
         data = make_phantom(tmp_path, voxels=9, rotations=8, seed=7)
         report = tmp_path / "cv.json"
-        box_path = tmp_path / "cv.dsc"
         code = run_cli([
             "crossval", "--in", str(data),
             "--subcase", "opt-shore-to-shore", "--subcase", "unopt-shore-to-shore",
             "--eval-folds", "3", "--max-folds", "1", "--k-folds", "3",
             "--epochs", "4", "--batch-size", "32", "--seed", "0",
-            "--report", str(report), "--out", str(box_path),
+            "--report", str(report),
         ])
         assert code == 0
         doc = read_report(report)
         assert set(doc["methods"]) == {"opt-shore-to-shore", "unopt-shore-to-shore"}
         assert len(doc["comparisons"]) == 1
         assert "p_bonferroni" in doc["comparisons"][0]
-        box = read_container(box_path)
-        assert box.kind == "report"
-        assert "acc_opt-shore-to-shore" in box.segments
+
+    def test_report_container_flag_is_gone(self, tmp_path, capsys):
+        code = run_cli(["crossval", "--in", str(tmp_path / "d.dsc"), "--out", "cv.dsc"])
+        assert code == 1
+        assert "--out" in capsys.readouterr().err
 
     def test_report_reproducible_modulo_timestamp(self, tmp_path):
         data = make_phantom(tmp_path, voxels=9, rotations=8, seed=7)
@@ -428,6 +429,40 @@ class TestNonFiniteVoxel:
                         "--eval-folds", "3", "--epochs", "2",
                         "--report", str(tmp_path / "r.json")])
         assert code == 2
+
+
+class TestNonFiniteCoefficients:
+    def test_train_rejects_an_infinite_input_row(self, tmp_path, capsys):
+        data = make_phantom(tmp_path, voxels=3, rotations=2)
+        inputs = tmp_path / "c.dsc"
+        assert run_cli(["fit-shore", "--in", str(data), "--zeta", "700",
+                        "--out", str(inputs)]) == 0
+        coeffs, meta = read_coeffs(inputs)
+        coeffs[4, 9] = np.inf
+        write_coeffs(inputs, coeffs, meta)
+        code = run_cli(["train", "--inputs", str(inputs), "--targets", str(inputs),
+                        "--epochs", "2", "--out", str(tmp_path / "m.dsc")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(inputs) in err and "row 4" in err
+        assert not (tmp_path / "m.dsc").exists()
+
+    @pytest.mark.parametrize("side", ["pred", "truth"])
+    def test_evaluate_rejects_a_nan_row(self, tmp_path, capsys, side):
+        data = make_phantom(tmp_path, voxels=3, rotations=2)
+        dataset = read_dataset(data)
+        fods = dataset.fod_coeffs.copy()
+        (fods if side == "pred" else dataset.fod_coeffs)[2] = np.nan
+        pred = tmp_path / "pred.dsc"
+        write_coeffs(pred, fods, {"representation": "sh", "sh_order": 8})
+        write_dataset(data, dataset)
+        report = tmp_path / "acc.json"
+        code = run_cli(["evaluate", "--pred", str(pred), "--truth", str(data),
+                        "--report", str(report)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(pred if side == "pred" else data) in err and "row 2" in err
+        assert not report.exists()
 
 
 @pytest.mark.parametrize("command, zeta", [

@@ -19,10 +19,10 @@ from deepshore.io import (
     write_directions_text,
     write_model,
     write_report,
-    write_report_container,
 )
 from deepshore.phantom import PhantomConfig
 from deepshore.pipeline import FodRegressor, PipelineConfig, _Standardizer
+from deepshore.shore import QSpaceSamples
 
 
 @pytest.fixture()
@@ -128,6 +128,22 @@ class TestCoeffsModel:
         assert meta["zeta"] == 700.0
         assert np.array_equal(meta["block_ids"], np.arange(6))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_coeffs_with_a_non_finite_row_name_the_file_and_row(self, tmp_path, bad):
+        path = tmp_path / "c.dsc"
+        coeffs = np.ones((6, 50))
+        coeffs[[2, 4], 7] = bad
+        write_coeffs(path, coeffs, {"representation": "shore"})
+        with pytest.raises(InvalidArgumentError, match="row 2 .*2 of 6 rows") as err:
+            read_coeffs(path)
+        assert str(path) in str(err.value)
+
+    def test_coeffs_segment_must_be_a_matrix(self, tmp_path):
+        path = tmp_path / "c.dsc"
+        write_container(path, "coeffs", [("coeffs", np.ones(5))], {})
+        with pytest.raises(ContainerFormatError, match="2-D"):
+            read_coeffs(path)
+
     def test_model_roundtrip_predictions_match(self, tmp_path):
         path = tmp_path / "m.dsc"
         regressor = small_regressor()
@@ -211,23 +227,6 @@ class TestReports:
         write_report(path, report)
         assert read_report(path) == report
 
-    def test_report_container(self, tmp_path):
-        path = tmp_path / "r.dsc"
-        write_report_container(path, {"kind": "report", "median": 0.5},
-                               [("acc_main", np.array([0.4, 0.6]))])
-        box = read_container(path)
-        assert box.kind == "report"
-        assert box.metadata["median"] == 0.5
-        assert np.allclose(box.segments["acc_main"], [0.4, 0.6])
-
-    def test_report_container_rewrite_bit_identical(self, tmp_path):
-        a, b = tmp_path / "a.dsc", tmp_path / "b.dsc"
-        write_report_container(a, {"kind": "report", "median": 0.5},
-                               [("acc_main", np.array([0.4, 0.6]))])
-        box = read_container(a)
-        write_report_container(b, box.metadata, list(box.segments.items()))
-        assert a.read_bytes() == b.read_bytes()
-
     def test_identical_reports_byte_identical_minus_timestamp(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         doc = {"kind": "report", "median": 0.7, "config": {"seed": 3}}
@@ -247,6 +246,14 @@ class TestFslText:
         assert np.allclose(
             loaded.directions.vectors, small_dataset.samples.directions.vectors, atol=1e-12
         )
+
+    def test_bvals_read_back_exactly(self, tmp_path, dirs100):
+        bvalues = np.repeat([12000.25, 3000.0, 1234.5678901234567], [40, 40, 20])
+        bval, bvec = tmp_path / "g.bval", tmp_path / "g.bvec"
+        write_bvals_bvecs(bval, bvec, QSpaceSamples(bvalues, dirs100))
+        assert read_bvals_bvecs(bval, bvec).bvalues.tobytes() == bvalues.tobytes()
+        # integral b-values keep their short form
+        assert bval.read_text().split()[40] == "3000"
 
     def test_bvec_file_has_three_lines(self, tmp_path, small_dataset):
         bvec = tmp_path / "g.bvec"

@@ -241,6 +241,14 @@ class TestTrain:
         with pytest.raises(InvalidArgumentError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", -1.0), ("learning_rate", np.nan), ("stabilizer", 0.0),
+        ("stabilizer", np.inf), ("decay", 1.0), ("momentum", -0.1),
+    ])
+    def test_optimizer_setting_out_of_range_rejected(self, field, value):
+        with pytest.raises(InvalidArgumentError, match=field):
+            TrainConfig(**{field: value})
+
     def test_deterministic_histories(self):
         x, y = small_batch(23, 40, 10, 8)
         data = VoxelDataset(x, y, np.arange(40))

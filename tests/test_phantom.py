@@ -6,74 +6,72 @@ from deepshore import (
     DirectionSet,
     InvalidArgumentError,
     QSpaceSamples,
-    ShSeries,
     TensorCompartment,
     acc,
-    add_rician_noise,
     generate_dataset,
-    ground_truth_fod,
-    random_rotation,
-    rotate_sh,
-    simulate_signal,
 )
 from deepshore import phantom
 from deepshore.phantom import PhantomConfig, _draw_compartments, build_acquisition
-from deepshore.sh import eval_sh_basis
-from deepshore.sphere import gauss_sphere_quadrature, rotate_directions
+from deepshore.sh import eval_sh_basis, fit_sh_many
+from deepshore.sphere import _haar_matrices, gauss_sphere_quadrature
 
 
 @pytest.fixture(scope="module")
-def quad():
-    return gauss_sphere_quadrature(40, 81)
+def projector():
+    return phantom.FodProjector(gauss_sphere_quadrature(40, 81), 8)
 
 
 def single_fiber(axis, eigenvalues=(1.7e-3, 0.3e-3, 0.3e-3)):
     return TensorCompartment(eigenvalues, tuple(axis), 1.0)
 
 
+# the single fiber's eigenvalues (1, 3) and fraction (1,), for phantom._signals
+FIBER = np.array([[1.7e-3, 0.3e-3, 0.3e-3]]), np.array([1.0])
+
+
+def fiber_signals(axes, samples):
+    """Signals (rows, samples) of single fibers along unit axes (rows, 3)."""
+    return phantom._signals(np.asarray(axes, dtype=float)[:, None], *FIBER, samples)
+
+
 class TestSimulateSignal:
     def test_closed_form_axial(self):
-        comp = single_fiber([0.0, 0.0, 1.0])
         samples = QSpaceSamples([1000.0], DirectionSet([[0.0, 0.0, 1.0]]))
-        assert simulate_signal([comp], samples)[0] == pytest.approx(np.exp(-1.7), rel=1e-12)
+        signal = fiber_signals([[0.0, 0.0, 1.0]], samples)
+        assert signal[0, 0] == pytest.approx(np.exp(-1.7), rel=1e-12)
 
     def test_closed_form_radial(self):
-        comp = single_fiber([0.0, 0.0, 1.0])
         samples = QSpaceSamples([1000.0], DirectionSet([[1.0, 0.0, 0.0]]))
-        assert simulate_signal([comp], samples)[0] == pytest.approx(np.exp(-0.3), rel=1e-12)
+        signal = fiber_signals([[0.0, 0.0, 1.0]], samples)
+        assert signal[0, 0] == pytest.approx(np.exp(-0.3), rel=1e-12)
 
     def test_b0_normalization(self):
-        comp = single_fiber([0.0, 1.0, 0.0])
         samples = QSpaceSamples([0.0], DirectionSet([[1.0, 0.0, 0.0]]))
-        assert simulate_signal([comp], samples)[0] == 1.0
+        assert fiber_signals([[0.0, 1.0, 0.0]], samples)[0, 0] == 1.0
 
     def test_fraction_sum_enforced(self):
-        a = TensorCompartment((1e-3, 1e-4, 1e-4), (0, 0, 1), 0.5)
-        b = TensorCompartment((1e-3, 1e-4, 1e-4), (1, 0, 0), 0.4)
+        axes = np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]])
+        eigenvalues = np.array([[1e-3, 1e-4, 1e-4]] * 2)
         samples = QSpaceSamples([1000.0], DirectionSet([[0.0, 0.0, 1.0]]))
         with pytest.raises(InvalidArgumentError):
-            simulate_signal([a, b], samples)
+            phantom._signals(axes, eigenvalues, np.array([0.5, 0.4]), samples)
 
     def test_rotation_equivariance(self):
+        # turning the fiber by R equals pulling the gradients back by R^T
         cfg = PhantomConfig(n_voxels=1, rotations_per_voxel=0, snr=float("inf"))
         samples = build_acquisition(cfg)
-        comp = single_fiber([0.37, -0.61, 0.70])
-        rot = random_rotation(8)
-        rotated_comp = comp.rotated(rot)
-        direct = simulate_signal([rotated_comp], samples)
-        pulled = simulate_signal(
-            [comp],
-            QSpaceSamples(samples.bvalues, rotate_directions(samples.directions, rot.inverse())),
-        )
-        assert np.max(np.abs(direct - pulled)) < 1e-12
+        axis = single_fiber([0.37, -0.61, 0.70]).axis()
+        rot = _haar_matrices(np.random.default_rng(8), 1)[0]
+        direct = fiber_signals([phantom._rotate(rot, axis)], samples)
+        pulled_back = QSpaceSamples(samples.bvalues, DirectionSet(samples.directions.vectors @ rot))
+        assert np.max(np.abs(direct - fiber_signals([axis], pulled_back))) < 1e-12
 
     def test_monotone_attenuation_in_b(self):
-        comp = single_fiber([0.2, 0.5, 0.84])
         g = np.array([0.5, -0.5, np.sqrt(0.5)])
         g /= np.linalg.norm(g)
         bvals = np.array([0.0, 1000.0, 3000.0, 6000.0, 12000.0])
         samples = QSpaceSamples(bvals, DirectionSet(np.tile(g, (5, 1))))
-        signal = simulate_signal([comp], samples)
+        signal = fiber_signals([single_fiber([0.2, 0.5, 0.84]).axis()], samples)[0]
         assert np.all(np.diff(signal) < 0)
 
 
@@ -104,72 +102,71 @@ class TestCross:
         e3 = np.cross(e1, e2)
         ev = np.asarray(comp.eigenvalues)
         expected = ev[0] * np.outer(e1, e1) + ev[1] * np.outer(e2, e2) + ev[2] * np.outer(e3, e3)
-        assert comp.tensor().tobytes() == expected.tobytes()
+        assert phantom._tensors(e1, ev).tobytes() == expected.tobytes()
 
 
 class TestGroundTruthFod:
-    def test_axially_symmetric_fiber_kills_m_terms(self, quad):
-        fod = ground_truth_fod([single_fiber([0.0, 0.0, 1.0])], 8, 20.0, quad)
+    def test_axially_symmetric_fiber_kills_m_terms(self, projector):
+        fod = projector.project([single_fiber([0.0, 0.0, 1.0])], 20.0)
         from deepshore.sh import sh_degree_order_table
 
         _, orders = sh_degree_order_table(8)
         assert np.max(np.abs(fod.coeffs[orders != 0])) < 1e-10
 
-    def test_unit_mass(self, quad):
+    def test_unit_mass(self, projector):
         comps = [
             TensorCompartment((1e-3, 1e-4, 1e-4), (0.0, 0.0, 1.0), 0.6),
             TensorCompartment((1e-3, 1e-4, 1e-4), (1.0, 0.0, 0.0), 0.4),
         ]
-        fod = ground_truth_fod(comps, 8, 20.0, quad)
+        fod = projector.project(comps, 20.0)
         assert fod.coeffs[0] == pytest.approx(1.0 / (2.0 * np.sqrt(np.pi)), abs=1e-8)
 
-    def test_compartment_permutation_invariance(self, quad):
+    def test_compartment_permutation_invariance(self, projector):
         a = TensorCompartment((1e-3, 1e-4, 1e-4), (0.0, 0.0, 1.0), 0.5)
         b = TensorCompartment((1e-3, 1e-4, 1e-4), (0.0, 1.0, 0.0), 0.5)
-        fod_ab = ground_truth_fod([a, b], 8, 20.0, quad)
-        fod_ba = ground_truth_fod([b, a], 8, 20.0, quad)
+        fod_ab = projector.project([a, b], 20.0)
+        fod_ba = projector.project([b, a], 20.0)
         assert acc(fod_ab, fod_ba) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kappa", [10.0, 20.0, 50.0])
-    def test_ringing_bounded_relative_to_peak(self, quad, kappa):
+    def test_ringing_bounded_relative_to_peak(self, projector, kappa):
         # a degree-8 projection of a sharp lobe rings; the undershoot stays a
         # small fraction of the peak for the concentrations in use
         dense = gauss_sphere_quadrature(60, 121)
-        from deepshore.sh import sample_sh
-
-        fod = ground_truth_fod(
+        fod = projector.project(
             [
                 TensorCompartment((1e-3, 1e-4, 1e-4), (0.0, 0.3, 0.95), 0.7),
                 TensorCompartment((1e-3, 1e-4, 1e-4), (0.9, 0.1, 0.4), 0.3),
             ],
-            8, kappa, quad,
+            kappa,
         )
-        values = sample_sh(fod, dense.nodes)
+        values = eval_sh_basis(dense.nodes, 8) @ fod.coeffs
         assert values.min() > -0.2 * values.max()
 
 
 class TestRicianNoise:
     def test_infinite_snr_is_identity(self):
-        values = np.linspace(0.0, 1.0, 32)
-        assert np.array_equal(add_rician_noise(values, float("inf"), seed=0), values)
+        values = np.linspace(0.0, 1.0, 32).reshape(2, 16)
+        assert np.array_equal(phantom._rician(values, float("inf"), [0, 1]), values)
 
     def test_output_nonnegative(self):
         rng = np.random.default_rng(0)
-        values = rng.random(2000)
-        assert np.all(add_rician_noise(values, 5.0, seed=1) >= 0.0)
+        values = rng.random((4, 500))
+        assert np.all(phantom._rician(values, 5.0, [1, 2, 3, 4]) >= 0.0)
 
     def test_rayleigh_mean_at_zero_signal(self):
         # oracle: magnitude of pure complex noise has mean sigma * sqrt(pi/2)
         sigma = 1.0 / 25.0
-        noisy = add_rician_noise(np.zeros(100_000), 25.0, seed=2)
+        noisy = phantom._rician(np.zeros((1, 100_000)), 25.0, [2])
         expected = sigma * np.sqrt(np.pi / 2.0)
         assert noisy.mean() == pytest.approx(expected, rel=0.02)
 
     def test_deterministic(self):
-        values = np.linspace(0.0, 1.0, 10)
-        assert np.array_equal(
-            add_rician_noise(values, 10.0, seed=3), add_rician_noise(values, 10.0, seed=3)
-        )
+        values = np.linspace(0.0, 1.0, 10).reshape(2, 5)
+        first = phantom._rician(values, 10.0, [3, 4])
+        assert np.array_equal(first, phantom._rician(values, 10.0, [3, 4]))
+        # each row draws from its own seed only
+        assert np.array_equal(first[1], phantom._rician(values[1:], 10.0, [4])[0])
 
 
 class TestGenerateDataset:
@@ -190,21 +187,19 @@ class TestGenerateDataset:
 
     def test_rotated_copies_match_rotate_sh(self, dirs200):
         # oracle: the stored FOD of a rotated copy must agree with rotating
-        # the base FOD by resampling
+        # the base FOD by resampling, f_R(d) = f(R^T d), and refitting
         cfg = PhantomConfig(n_voxels=2, rotations_per_voxel=3, snr=float("inf"), seed=11)
         data = generate_dataset(cfg)
-        from deepshore.phantom import _draw_compartments
-        from deepshore.sphere import haar_rotation
-
+        order = data.sh_order
         for voxel, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.n_voxels)):
             rng = np.random.default_rng(stream)
             _draw_compartments(rng, cfg)
-            rotations = [haar_rotation(rng) for _ in range(cfg.rotations_per_voxel)]
-            base = ShSeries(data.sh_order, data.fod_coeffs[voxel * 4])
-            for k, rot in enumerate(rotations):
-                expected = rotate_sh(base, rot, dirs200)
-                stored = ShSeries(data.sh_order, data.fod_coeffs[voxel * 4 + 1 + k])
-                assert acc(expected, stored) >= 0.999
+            base = data.fod_coeffs[voxel * 4]
+            values = np.array([eval_sh_basis(DirectionSet(dirs200.vectors @ rot), order) @ base
+                               for rot in _haar_matrices(rng, cfg.rotations_per_voxel)])
+            expected = fit_sh_many(values, dirs200, order)
+            stored = data.fod_coeffs[voxel * 4 + 1:voxel * 4 + 4]
+            assert np.all(acc(expected, stored, order) >= 0.999)
 
     def test_noiseless_signals_bounded_by_one(self):
         cfg = PhantomConfig(n_voxels=4, rotations_per_voxel=2, snr=float("inf"), seed=2)

@@ -10,11 +10,7 @@ from deepshore import (
     UndefinedCorrelationError,
     acc,
     eval_sh_basis,
-    fit_sh,
     generate_uniform_directions,
-    random_rotation,
-    rotate_sh,
-    sample_sh,
     sh_coeff_count,
 )
 from deepshore import sh, shore
@@ -59,40 +55,32 @@ class TestBasis:
 
 class TestFitSample:
     def test_forward_synthesize_then_fit(self, dirs100):
-        truth = random_series(8, seed=0)
-        values = sample_sh(truth, dirs100)
-        fitted = fit_sh(values, dirs100, 8)
-        assert np.max(np.abs(fitted.coeffs - truth.coeffs)) < 1e-8
+        truth = np.random.default_rng(0).standard_normal((4, 45))
+        values = truth @ eval_sh_basis(dirs100, 8).T
+        fitted = fit_sh_many(values, dirs100, 8)
+        assert np.max(np.abs(fitted - truth)) < 1e-8
 
     def test_constant_values_hit_only_c00(self, dirs100):
-        fitted = fit_sh(np.full(len(dirs100), 0.75), dirs100, 8)
-        assert abs(fitted.coeffs[0] - 0.75 * 2.0 * np.sqrt(np.pi)) < 1e-10
-        assert np.max(np.abs(fitted.coeffs[1:])) < 1e-10
+        fitted = fit_sh_many(np.full((1, len(dirs100)), 0.75), dirs100, 8)[0]
+        assert abs(fitted[0] - 0.75 * 2.0 * np.sqrt(np.pi)) < 1e-10
+        assert np.max(np.abs(fitted[1:])) < 1e-10
 
     def test_underdetermined_rejected(self):
         few = generate_uniform_directions(10, seed=1, iterations=50)
         with pytest.raises(SingularSystemError):
-            fit_sh(np.ones(10), few, 8)
+            fit_sh_many(np.ones((1, 10)), few, 8)
 
     def test_length_mismatch_rejected(self, dirs100):
         with pytest.raises(InvalidArgumentError):
-            fit_sh(np.ones(99), dirs100, 8)
+            fit_sh_many(np.ones((1, 99)), dirs100, 8)
 
     def test_sample_of_zero_series_is_zero(self, dirs100):
-        assert np.all(sample_sh(ShSeries(8, np.zeros(45)), dirs100) == 0.0)
+        assert np.all(eval_sh_basis(dirs100, 8) @ np.zeros(45) == 0.0)
 
     def test_pure_c00_samples_to_ones(self, dirs100):
         coeffs = np.zeros(45)
         coeffs[0] = 2.0 * np.sqrt(np.pi)
-        assert np.allclose(sample_sh(ShSeries(8, coeffs), dirs100), 1.0, atol=1e-14)
-
-    def test_fit_many_matches_single(self, dirs100):
-        rng = np.random.default_rng(3)
-        values = rng.standard_normal((4, len(dirs100)))
-        batch = fit_sh_many(values, dirs100, 8)
-        for k in range(4):
-            single = fit_sh(values[k], dirs100, 8)
-            assert np.allclose(batch[k], single.coeffs, atol=1e-12)
+        assert np.allclose(eval_sh_basis(dirs100, 8) @ coeffs, 1.0, atol=1e-14)
 
 
 def _three_shells(dirs):
@@ -122,7 +110,8 @@ class TestOneBlasThread:
             with pytest.raises(SingularSystemError):
                 with sh.one_blas_thread():
                     assert [_blas_threads(lib) for lib in builds] == [1] * len(builds)
-                    fit_sh(np.ones(10), generate_uniform_directions(10, seed=1, iterations=50), 8)
+                    few = generate_uniform_directions(10, seed=1, iterations=50)
+                    fit_sh_many(np.ones((1, 10)), few, 8)
             assert [_blas_threads(lib) for lib in builds] == [2] * len(builds)
         finally:
             for lib, count in zip(builds, saved):
@@ -286,29 +275,3 @@ class TestAccOfMatrices:
             acc(pred[:, :28], truth[:, :28], 8)
         with pytest.raises(InvalidArgumentError):
             acc(pred, truth[:10], 8)
-
-
-class TestRotateSh:
-    def test_identity_rotation(self, dirs200):
-        from deepshore.sphere import Rotation
-
-        u = random_series(8, seed=10)
-        out = rotate_sh(u, Rotation(np.eye(3)), dirs200)
-        assert np.max(np.abs(out.coeffs - u.coeffs)) < 1e-8
-
-    def test_acc_rotation_invariance(self, dirs200):
-        r = random_rotation(12)
-        u = random_series(8, seed=11)
-        v = random_series(8, seed=12)
-        rotated = acc(rotate_sh(u, r, dirs200), rotate_sh(v, r, dirs200))
-        assert abs(rotated - acc(u, v)) < 1e-6
-
-    def test_norm_preserved(self, dirs200):
-        u = random_series(8, seed=13)
-        out = rotate_sh(u, random_rotation(14), dirs200)
-        assert abs(np.linalg.norm(out.coeffs) - np.linalg.norm(u.coeffs)) < 1e-6
-
-    def test_insufficient_directions_rejected(self):
-        few = generate_uniform_directions(20, seed=2, iterations=50)
-        with pytest.raises(InvalidArgumentError):
-            rotate_sh(random_series(8, seed=15), random_rotation(0), few)

@@ -4,13 +4,10 @@ import pytest
 from deepshore import (
     DirectionSet,
     InvalidArgumentError,
-    Rotation,
     gauss_sphere_quadrature,
     generate_uniform_directions,
-    random_rotation,
-    rotate_directions,
 )
-from deepshore import sphere
+from deepshore import phantom, sphere
 from deepshore.sphere import repulsion_energy
 
 
@@ -191,47 +188,49 @@ class TestRepulsionBitExact:
         assert np.isfinite(got).all()
 
 
+def haar(seed, count=1):
+    return sphere._haar_matrices(np.random.default_rng(seed), count)
+
+
 class TestRandomRotation:
     def test_deterministic(self):
-        assert np.array_equal(random_rotation(0).matrix, random_rotation(0).matrix)
+        assert haar(0, 3).tobytes() == haar(0, 3).tobytes()
 
     @pytest.mark.parametrize("seed", range(25))
     def test_group_membership(self, seed):
-        m = random_rotation(seed).matrix
+        m = haar(seed)[0]
         assert np.max(np.abs(m.T @ m - np.eye(3))) < 1e-12
         assert abs(np.linalg.det(m) - 1.0) < 1e-12
 
     def test_haar_uniformity_monte_carlo(self):
         # mean of a rotated fixed vector must shrink toward zero under Haar
         z = np.array([0.0, 0.0, 1.0])
-        total = np.zeros(3)
-        for seed in range(10_000):
-            total += random_rotation(seed).matrix @ z
-        assert np.linalg.norm(total / 10_000) < 0.05
+        assert np.linalg.norm(np.mean(haar(0, 10_000) @ z, axis=0)) < 0.05
 
 
 class TestRotateDirections:
+    """``phantom._rotate``, which turns the compartment axes of the
+    phantom's rotated copies."""
+
     def test_identity(self, dirs100):
-        out = rotate_directions(dirs100, Rotation(np.eye(3)))
-        assert np.allclose(out.vectors, dirs100.vectors, atol=1e-15)
+        out = phantom._rotate(np.eye(3), dirs100.vectors)
+        assert np.allclose(out, dirs100.vectors, atol=1e-15)
 
     def test_quarter_turn_about_x(self):
-        r = Rotation([[1, 0, 0], [0, 0, -1], [0, 1, 0]])  # +pi/2 about x
-        out = rotate_directions(DirectionSet([[0.0, 0.0, 1.0]]), r)
-        assert np.allclose(out.vectors[0], [0.0, -1.0, 0.0], atol=1e-12)
+        r = np.array([[1.0, 0, 0], [0, 0, -1], [0, 1, 0]])  # +pi/2 about x
+        out = phantom._rotate(r, np.array([0.0, 0.0, 1.0]))
+        assert np.allclose(out, [0.0, -1.0, 0.0], atol=1e-12)
 
     def test_pairwise_angles_preserved(self, dirs100):
-        r = random_rotation(5)
         before = dirs100.vectors @ dirs100.vectors.T
-        after_set = rotate_directions(dirs100, r)
-        after = after_set.vectors @ after_set.vectors.T
-        assert np.max(np.abs(before - after)) < 1e-12
+        after = phantom._rotate(haar(5)[0], dirs100.vectors)
+        assert np.max(np.abs(before - after @ after.T)) < 1e-12
 
 
 class TestGaussSphereQuadrature:
     def test_integrates_constant(self):
         quad = gauss_sphere_quadrature(4, 5)
-        assert abs(quad.integrate(np.ones(len(quad.nodes))) - 4 * np.pi) < 1e-12
+        assert abs(np.ones(len(quad.nodes)) @ quad.weights - 4 * np.pi) < 1e-12
 
     def test_weights_positive_and_sum(self, quad_16_33):
         assert np.all(quad_16_33.weights > 0)
@@ -245,7 +244,7 @@ class TestGaussSphereQuadrature:
 
     def test_y00_normalization(self, quad_16_33):
         y00 = np.full(len(quad_16_33.nodes), 1.0 / (2.0 * np.sqrt(np.pi)))
-        assert abs(quad_16_33.integrate(y00 * y00) - 1.0) < 1e-10
+        assert abs((y00 * y00) @ quad_16_33.weights - 1.0) < 1e-10
 
     def test_y42_normalization(self, quad_16_33):
         # integrand degree 8 in both factors: exact for the 16 x 33 grid
@@ -255,4 +254,4 @@ class TestGaussSphereQuadrature:
         degrees, orders = sh_degree_order_table(4)
         col = int(np.flatnonzero((degrees == 4) & (orders == 2))[0])
         y42 = basis[:, col]
-        assert abs(quad_16_33.integrate(y42 * y42) - 1.0) < 1e-10
+        assert abs((y42 * y42) @ quad_16_33.weights - 1.0) < 1e-10
