@@ -9,11 +9,11 @@ keeping the pair exactly consistent. Rows that share a source voxel
 carry one block id so cross-validation can split at the source level.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import hyp1f1
 
 from .errors import InvalidArgumentError
 from .sh import ShSeries, eval_sh_basis, sh_coeff_count
@@ -157,9 +157,17 @@ def watson_density(points, mean_axis, kappa):
     A stack of axes (..., 3) gives one density per axis, (..., points).
     """
     mean_axis = _unit(np.asarray(mean_axis, dtype=float))
-    norm = 1.0 / (4.0 * np.pi * hyp1f1(0.5, 1.5, kappa))
     t = np.matmul(points, mean_axis[..., None])[..., 0]
-    return norm * np.exp(kappa * t * t)
+    return _watson_norm(kappa) * np.exp(kappa * t * t)
+
+
+@functools.cache
+def _watson_norm(kappa):
+    """1 / (4 pi 1F1(1/2; 3/2; kappa)), which gives the Watson density unit
+    integral. scipy is imported here, so only the phantom generator loads it."""
+    from scipy.special import hyp1f1
+
+    return 1.0 / (4.0 * np.pi * hyp1f1(0.5, 1.5, kappa))
 
 
 class FodProjector:

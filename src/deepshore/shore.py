@@ -21,7 +21,6 @@ into zeta.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import sh
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
     OptimizationFailureError,
     SingularSystemError,
 )
-from .sh import _check_even, _check_finite_rows, _solve_regularized
+from .sh import _check_even, _check_finite_rows, _gammaln, _solve_regularized
 from .sphere import DirectionSet
 
 _MAX_ITERATIONS = 100
@@ -149,9 +148,9 @@ def radial_normalization(n, l, zeta):
     k = (n - l) // 2
     log_k2 = (
         np.log(2.0)
-        + gammaln(k + 1)
+        + _gammaln(k + 1)
         - 1.5 * np.log(zeta)
-        - gammaln((n + l) / 2.0 + 1.5)
+        - _gammaln((n + l) / 2.0 + 1.5)
     )
     return float(np.exp(0.5 * log_k2))
 

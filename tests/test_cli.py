@@ -1,7 +1,10 @@
 import json
+import os
 import re
 import shlex
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +110,24 @@ class TestFitShoreCommand:
         _, meta = read_coeffs(out)
         assert meta["zeta"] > 0
         assert meta["log_domain"] is True
+
+    def test_loads_no_scipy(self, tmp_path):
+        """Only `phantom` imports scipy, so the other commands start without
+        paying for its import."""
+        data = make_phantom(tmp_path)
+        probe = (
+            "import json, sys\n"
+            "import deepshore.cli\n"
+            "code = deepshore.cli.run_cli(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "fit-shore", "--in", str(data), "--optimize", "--log",
+             "--out", str(tmp_path / "c.dsc")],
+            env=env, capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []]
 
 
 class TestOptimizeZetaCommand:

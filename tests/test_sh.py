@@ -5,6 +5,7 @@ import pytest
 
 from deepshore import (
     InvalidArgumentError,
+    OptimizationFailureError,
     ShSeries,
     SingularSystemError,
     UndefinedCorrelationError,
@@ -53,6 +54,30 @@ class TestBasis:
             eval_sh_basis(dirs100, 5)
 
 
+class TestScipyPorts:
+    """The Legendre and log-gamma ports give scipy's bits."""
+
+    def test_legendre_matches_lpmv(self):
+        from scipy.special import lpmv
+
+        x = np.concatenate([np.linspace(-1.0, 1.0, 4001), [-1.0, -0.0, 0.0, 1.0],
+                            np.random.default_rng(0).uniform(-1.0, 1.0, 1000)])
+        for l in range(17):
+            for m in range(l + 1):
+                got = sh._legendre(l, m, x)
+                assert got.shape == x.shape
+                assert got.tobytes() == lpmv(m, l, x).tobytes(), (l, m)
+
+    def test_gammaln_matches_scipy(self):
+        from scipy.special import gammaln
+
+        x = np.concatenate([np.arange(0.5, 200.5, 0.5),
+                            np.random.default_rng(1).uniform(0.0, 1000.0, 20000),
+                            [1e-300, 13.0, 1000.0, 2e3, 1e8, 3e8]])
+        got = np.array([sh._gammaln(v) for v in x])
+        assert got.tobytes() == gammaln(x).tobytes()
+
+
 class TestFitSample:
     def test_forward_synthesize_then_fit(self, dirs100):
         truth = np.random.default_rng(0).standard_normal((4, 45))
@@ -88,6 +113,64 @@ def _three_shells(dirs):
                                np.tile(dirs.vectors, (3, 1)))
 
 
+class TestCholeskySolve:
+    """`sh._cholesky_solve` gives the bits of scipy's cho_factor/cho_solve,
+    on numpy's OpenBLAS build and on the scipy fallback alike."""
+
+    @pytest.fixture
+    def systems(self):
+        samples = _three_shells(generate_uniform_directions(30, seed=1, iterations=50))
+        pen = shore._penalty_diag(shore.ShoreFitConfig())
+        signals = np.random.default_rng(0).random((200, len(samples)))
+        out = []
+        for zeta in (300.0, 700.0, 2000.0):
+            design = shore.shore_design_matrix(samples, 6, zeta)
+            normal = design.T @ design
+            normal = normal + float(np.mean(np.diag(normal))) * np.diag(pen)
+            out.append((normal, design.T @ signals.T))
+        return out
+
+    @pytest.fixture(params=["lapack", "fallback"])
+    def path(self, request, monkeypatch):
+        if request.param == "fallback":
+            monkeypatch.setattr(sh, "_lapack_cholesky", lambda: None)
+        elif sh._lapack_cholesky() is None:
+            pytest.skip("no loaded OpenBLAS build exports dpotrf/dpotrs with 64-bit integers")
+        return request.param
+
+    def test_matches_scipy(self, systems, path):
+        from scipy.linalg import cho_factor, cho_solve
+
+        for normal, xty in systems:
+            got = sh._cholesky_solve(normal, xty)
+            assert got.flags.f_contiguous
+            assert got.tobytes("A") == cho_solve(cho_factor(normal), xty).tobytes("A")
+
+    def test_not_positive_definite(self, path):
+        with pytest.raises(SingularSystemError):
+            sh._cholesky_solve(np.diag([1.0, -1.0, 1.0]), np.ones((3, 2)))
+
+    def test_mismatched_shapes_rejected_before_lapack(self):
+        if sh._lapack_cholesky() is None:
+            pytest.skip("no loaded OpenBLAS build exports dpotrf/dpotrs with 64-bit integers")
+        with pytest.raises(InvalidArgumentError):
+            sh._cholesky_solve(np.eye(3), np.ones((2, 2)))
+
+    def test_non_finite_rhs(self, systems, path):
+        normal, xty = systems[0]
+        xty = xty.copy()
+        xty[3, 5] = np.nan
+        with pytest.raises(ValueError):
+            sh._cholesky_solve(normal, xty)
+
+    def test_nan_signal_fails_the_scale_search(self, path):
+        samples = _three_shells(generate_uniform_directions(30, seed=1, iterations=50))
+        signals = np.exp(-samples.bvalues / 2000.0) * np.ones((3, 1))
+        signals[1, 4] = np.nan
+        with pytest.raises(OptimizationFailureError):
+            shore.optimize_zeta(signals, samples, shore.ShoreFitConfig(), 700.0)
+
+
 def _blas_threads(lib):
     """An OpenBLAS build's thread count, read through its setter."""
     count = lib.openblas_set_num_threads_local(1)
@@ -118,7 +201,7 @@ class TestOneBlasThread:
                 lib.openblas_set_num_threads_local(count)
 
     def test_only_the_products_are_pinned_in_the_scale_search(self, monkeypatch):
-        """At each product and each ``cho_solve`` call, record every loaded
+        """At each product and each ``_cholesky_solve`` call, record every loaded
         build's thread count: the products run on one thread, the solves
         of a scale-search objective at the caller's count and those of a
         one-off fit on one thread."""
@@ -135,13 +218,13 @@ class TestOneBlasThread:
         def recording(function):
             return lambda *args: function(*args).view(Recording)
 
-        real_solve = sh.cho_solve
+        real_solve = sh._cholesky_solve
 
         def solve(*args):
             log.append(("solve", [_blas_threads(lib) for lib in builds]))
             return real_solve(*args)
 
-        monkeypatch.setattr(sh, "cho_solve", solve)
+        monkeypatch.setattr(sh, "_cholesky_solve", solve)
         monkeypatch.setattr(shore, "shore_design_matrix", recording(shore.shore_design_matrix))
         monkeypatch.setattr(sh, "eval_sh_basis", recording(sh.eval_sh_basis))
         dirs = generate_uniform_directions(30, seed=1, iterations=50)
