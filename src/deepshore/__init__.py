@@ -21,7 +21,6 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .net import (
-    MlpArchitecture,
     MlpModel,
     TrainConfig,
     VoxelDataset,

@@ -1,11 +1,15 @@
 """Batch command-line pipeline.
 
-Subcommands: phantom, fit-shore, optimize-zeta, fod-to-shore, train,
-predict, evaluate, crossval. The chain fit-shore --log -> fod-to-shore
---log -> train -> predict -> evaluate runs the code that crossval runs
-on each fold: `train` fits a `pipeline.FodRegressor` (standardizers,
-network and FOD map in one model container) and `predict` writes its SH
-FODs. Exit code 0 on success, 1 on usage errors (bad flags, missing
+Subcommands: phantom, fit-shore, optimize-zeta, train, predict,
+evaluate, crossval. The chain phantom -> train -> predict -> evaluate
+runs the code that crossval runs on each fold: `train` runs its fold
+body (`pipeline.train_regressor`) on every row of a dataset, holding
+out a validation fold only for early stopping, and writes the
+`pipeline.FodRegressor` (input map, standardizers, network and FOD map
+in one model container); `predict` fits a dataset's signals at the
+model's scale and writes its SH FODs. `fit-shore` and `optimize-zeta`
+are tools for the signal basis alone.
+Exit code 0 on success, 1 on usage errors (bad flags, missing
 files, config-file values of the wrong type), 2 on data or numeric
 errors. Every command that writes a report or container echoes its
 resolved configuration and seeds so runs can be reproduced. A JSON
@@ -94,8 +98,11 @@ def _load_config_file(path, known_keys):
 
 def _is_kind(value, kind):
     """Whether a flag or config-file value may fill a field of type `kind`:
-    a bool field takes only true or false, an int field only an integral
-    number, a float field any number, and a bool is no number here."""
+    a str field takes only a string, a bool field only true or false, an
+    int field only an integral number, a float field any number, and a
+    bool is no number here."""
+    if kind is str:
+        return isinstance(value, str)
     if kind not in (bool, int, float):
         return True
     if kind is bool or isinstance(value, bool):
@@ -160,6 +167,28 @@ def _add_common_shore_flags(parser):
                         help="shell to drop from input fitting")
 
 
+def _add_pipeline_flags(parser):
+    """The flags of the fold body that `train` and `crossval` run."""
+    parser.add_argument("--in", dest="infile", type=str, required=True)
+    parser.add_argument("--k-folds", type=int, default=None)
+    parser.add_argument("--epochs", type=int, default=None)
+    parser.add_argument("--batch-size", type=int, default=None)
+    parser.add_argument("--learning-rate", type=float, default=None)
+    parser.add_argument("--momentum", type=float, default=None)
+    parser.add_argument("--stabilizer", type=float, default=None)
+    parser.add_argument("--decay", type=float, default=None)
+    parser.add_argument("--early-stop", action="store_true", default=None)
+    parser.add_argument("--patience", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--nonneg-epsilon", type=float, default=None)
+    parser.add_argument("--zeta0", type=float, default=None)
+    parser.add_argument("--dirs-seed", type=int, default=None)
+    parser.add_argument("--fod-b", type=float, default=None)
+    parser.add_argument("--sh-order", type=int, default=None)
+    _add_common_shore_flags(parser)
+    parser.add_argument("--report", type=str, default=None)
+
+
 def _shore_config(args, file_cfg):
     return _from_flags(shore.ShoreFitConfig, args, file_cfg)
 
@@ -168,8 +197,21 @@ def _nonneg_config(args, file_cfg):
     return _from_flags(NonNegConfig, args, file_cfg, {"epsilon": "nonneg-epsilon"})
 
 
-def _train_config(args, file_cfg):
-    return _from_flags(net.TrainConfig, args, file_cfg)
+def _pipeline_config(args, file_cfg, flags=None, **values):
+    """The PipelineConfig of the fold-body flags, plus the fields named in
+    `flags` (field name -> flag name) and the given `values`."""
+    flags = {"direction_seed": "dirs-seed", "sh_order": "sh-order", "fod_bvalue": "fod-b",
+             **(flags or {})}
+    return _from_flags(
+        pipeline.PipelineConfig, args, file_cfg, flags,
+        shells=_resolve(args, file_cfg, "shells", None, _parse_shells),
+        withhold_b=_resolve(args, file_cfg, "withhold-b", None, float),
+        shore=_shore_config(args, file_cfg),
+        nonneg=_nonneg_config(args, file_cfg),
+        train=_from_flags(net.TrainConfig, args, file_cfg),
+        zeta0=_resolve(args, file_cfg, "zeta0", None, float),
+        **values,
+    )
 
 
 def _log_domain(args, file_cfg):
@@ -214,33 +256,14 @@ def build_parser():
     _add_common_shore_flags(p)
     p.add_argument("--report", type=str, default=None)
 
-    p = sub.add_parser("fod-to-shore", help="re-express ground-truth FODs in the signal basis")
-    p.add_argument("--in", dest="infile", type=str, required=True)
-    p.add_argument("--zeta", type=float, required=True)
-    p.add_argument("--fod-b", type=float, default=None)
-    p.add_argument("--dirs-seed", type=int, default=None)
-    p.add_argument("--n-dirs", type=int, default=None)
-    p.add_argument("--log", action="store_true", default=None)
-    p.add_argument("--nonneg-epsilon", type=float, default=None)
-    _add_common_shore_flags(p)
+    p = sub.add_parser("train", help="train a model on every row of a dataset")
+    p.add_argument("--subcase", type=str, default=None, choices=sorted(pipeline.SUBCASES))
+    _add_pipeline_flags(p)
     p.add_argument("--out", type=str, required=True)
 
-    p = sub.add_parser("train", help="train the residual network on coefficient pairs")
-    p.add_argument("--inputs", type=str, required=True)
-    p.add_argument("--targets", type=str, required=True)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--stabilizer", type=float, default=None)
-    p.add_argument("--decay", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", type=str, required=True)
-    p.add_argument("--report", type=str, default=None)
-
-    p = sub.add_parser("predict", help="predict SH FODs with a saved model")
+    p = sub.add_parser("predict", help="predict SH FODs of a dataset with a saved model")
     p.add_argument("--model", type=str, required=True)
-    p.add_argument("--inputs", type=str, required=True)
+    p.add_argument("--in", dest="infile", type=str, required=True)
     p.add_argument("--out", type=str, required=True)
 
     p = sub.add_parser("evaluate", help="angular correlation of predictions vs truth")
@@ -249,31 +272,14 @@ def build_parser():
     p.add_argument("--report", type=str, default=None)
 
     p = sub.add_parser("crossval", help="cross-validated subcase experiment")
-    p.add_argument("--in", dest="infile", type=str, required=True)
     p.add_argument("--subcase", action="append", default=None,
                    choices=sorted(pipeline.SUBCASES),
                    help="repeatable; runs and compares all named subcases")
     p.add_argument("--eval-folds", type=int, default=None)
     p.add_argument("--max-folds", type=int, default=None)
-    p.add_argument("--k-folds", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--stabilizer", type=float, default=None)
-    p.add_argument("--decay", type=float, default=None)
-    p.add_argument("--early-stop", action="store_true", default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--nonneg-epsilon", type=float, default=None)
-    p.add_argument("--zeta0", type=float, default=None)
-    p.add_argument("--dirs-seed", type=int, default=None)
-    p.add_argument("--fod-b", type=float, default=None)
-    p.add_argument("--sh-order", type=int, default=None)
     p.add_argument("--flat", action="store_true", default=None,
                    help="train on all training rows, no inner validation fold")
-    _add_common_shore_flags(p)
-    p.add_argument("--report", type=str, default=None)
+    _add_pipeline_flags(p)
     return parser
 
 
@@ -361,79 +367,43 @@ def _cmd_optimize_zeta(args, file_cfg):
     return 0
 
 
-def _cmd_fod_to_shore(args, file_cfg):
-    dataset = io.read_dataset(_require_input(args.infile))
-    cfg = _from_flags(pipeline.PipelineConfig, args, file_cfg, {
-        "direction_seed": "dirs-seed", "n_fod_directions": "n-dirs", "fod_bvalue": "fod-b",
-    }, shore=_shore_config(args, file_cfg), nonneg=_nonneg_config(args, file_cfg))
-    log_domain = _log_domain(args, file_cfg)
-    values = pipeline.fod_samples(dataset.fod_coeffs, dataset.sh_order, cfg, log=log_domain)
-    coeffs = pipeline.fod_targets(values, "shore", args.zeta, cfg)
-    io.write_coeffs(args.out, coeffs, {
-        "representation": "shore",
-        **pipeline.FodRegressor("shore", args.zeta, cfg, dataset.sh_order).description(),
-        "log_domain": log_domain,
-        "source": args.infile,
-        "block_ids": dataset.block_ids,
-    })
-    print(f"re-expressed {coeffs.shape[0]} FODs at b={cfg.fod_bvalue:g}, zeta={args.zeta:g}")
-    return 0
-
-
 def _cmd_train(args, file_cfg):
-    inputs, in_meta = io.read_coeffs(_require_input(args.inputs))
-    targets, tgt_meta = io.read_coeffs(_require_input(args.targets))
-    if inputs.shape[0] != targets.shape[0]:
-        raise InvalidArgumentError(
-            f"row mismatch: {inputs.shape[0]} inputs vs {targets.shape[0]} targets"
-        )
-    block_ids = in_meta.get("block_ids")
-    if block_ids is None:
-        block_ids = np.arange(inputs.shape[0])
-    cfg = _train_config(args, file_cfg)
-    # only log-domain FOD targets (fod-to-shore --log) give a model that
-    # predict can map back to FODs
-    regressor = pipeline.FodRegressor.from_description(
-        tgt_meta if tgt_meta.get("log_domain") else None, args.targets
-    )
-    history, _ = regressor.fit(inputs, targets, block_ids, cfg, cfg.seed, nested=False)
+    dataset = io.read_dataset(_require_input(args.infile))
+    cfg = _pipeline_config(args, file_cfg, {"subcase": "subcase"})
+    # only early stopping reads a validation fold
+    cfg = dataclasses.replace(cfg, nested=cfg.train.early_stop)
+    regressor, history, n_fit_rows = pipeline.train_regressor(
+        cfg, dataset, np.arange(len(dataset)), cfg.train.seed)
     io.write_model(args.out, regressor)
-    print(f"trained {cfg.epochs} epochs, final loss {history[-1]:.6e}")
+    print(f"trained {cfg.subcase} at zeta={regressor.zeta:.6g} on {n_fit_rows} rows: "
+          f"{len(history)} epochs, final loss {history[-1]:.6e}")
     if args.report:
         io.write_report(args.report, {
             "kind": "report",
             "command": "train",
             "created_at": _timestamp(),
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-            "learning_rate": cfg.learning_rate,
-            "seed": cfg.seed,
+            "source": args.infile,
+            "zeta": float(regressor.zeta),
+            "n_fit_rows": n_fit_rows,
             "loss_history": [float(v) for v in history],
-            "inputs": args.inputs,
-            "targets": args.targets,
-            "input_meta": {k: v for k, v in in_meta.items() if k != "block_ids"},
-            "target_meta": {k: v for k, v in tgt_meta.items() if k != "block_ids"},
+            "config": cfg.to_dict(),
         })
     return 0
 
 
 def _cmd_predict(args, file_cfg):
     regressor = io.read_model(_require_input(args.model))
-    if regressor.target_kind is None:
-        raise InvalidArgumentError(
-            f"model {args.model} was not trained on log-domain FOD coefficients "
-            "(fod-to-shore --log), so it cannot predict FODs"
-        )
-    inputs, in_meta = io.read_coeffs(_require_input(args.inputs))
-    fods = regressor.predict_fod_sh(inputs)
+    dataset = io.read_dataset(_require_input(args.infile))
+    fods = regressor.predict_fod_sh(regressor.input_coeffs(dataset.signals, dataset.samples))
     io.write_coeffs(args.out, fods, {
         "representation": "sh",
         "sh_order": regressor.out_degree,
         "model": args.model,
-        "source": args.inputs,
-        "block_ids": in_meta.get("block_ids"),
+        "source": args.infile,
+        "block_ids": dataset.block_ids,
     })
-    print(f"predicted {fods.shape[0]} FODs x {fods.shape[1]} SH coefficients")
+    print(f"predicted {fods.shape[0]} FODs x {fods.shape[1]} SH coefficients "
+          f"at the model's zeta={regressor.zeta:.6g}")
     return 0
 
 
@@ -475,18 +445,10 @@ def _cmd_crossval(args, file_cfg):
     dataset = io.read_dataset(_require_input(args.infile))
     subcases = (_resolve(args, file_cfg, "subcase", None, _as_list)
                 or [pipeline.PipelineConfig().subcase])
-    flags = {"direction_seed": "dirs-seed", "sh_order": "sh-order", "fod_bvalue": "fod-b",
-             "eval_folds": "eval-folds"}
-    base = _from_flags(
-        pipeline.PipelineConfig, args, file_cfg, flags,
-        shells=_resolve(args, file_cfg, "shells", None, _parse_shells),
-        withhold_b=_resolve(args, file_cfg, "withhold-b", None, float),
-        shore=_shore_config(args, file_cfg),
-        nonneg=_nonneg_config(args, file_cfg),
-        train=_train_config(args, file_cfg),
+    base = _pipeline_config(
+        args, file_cfg, {"eval_folds": "eval-folds"},
         max_folds=_resolve(args, file_cfg, "max-folds", None, int),
         nested=not _resolve(args, file_cfg, "flat", False, bool),
-        zeta0=_resolve(args, file_cfg, "zeta0", None, float),
     )
     configs = [dataclasses.replace(base, subcase=name) for name in subcases]
     reports, comparisons = pipeline.compare_subcases(dataset, configs)
@@ -514,7 +476,6 @@ _HANDLERS = {
     "phantom": _cmd_phantom,
     "fit-shore": _cmd_fit_shore,
     "optimize-zeta": _cmd_optimize_zeta,
-    "fod-to-shore": _cmd_fod_to_shore,
     "train": _cmd_train,
     "predict": _cmd_predict,
     "evaluate": _cmd_evaluate,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContainerFormatError, InvalidArgumentError
-from .net import HIDDEN_WIDTHS, MlpArchitecture, MlpModel
+from .net import HIDDEN_WIDTHS, MlpModel
 from .phantom import PhantomDataset
 from .pipeline import FodRegressor, _Standardizer
 from .sh import _check_finite_rows
@@ -185,10 +185,12 @@ def read_dataset(path):
         box.segments["bvalues"].astype(float),
         DirectionSet.normalized(box.segments["directions"].astype(float)),
     )
+    signals = box.segments["signals"].astype(float)
+    _check_finite_rows(signals, f"{path}: signals")
     fod_coeffs = box.segments["fod_coeffs"].astype(float)
     _check_finite_rows(fod_coeffs, f"{path}: fod_coeffs")
     return PhantomDataset(
-        signals=box.segments["signals"].astype(float),
+        signals=signals,
         samples=samples,
         fod_coeffs=fod_coeffs,
         sh_order=_field(box.metadata, "sh_order", path, "meta", _integral),
@@ -234,7 +236,8 @@ def read_coeffs(path):
 def write_model(path, regressor):
     """Persist a fitted FodRegressor (kind ``model``): weights layer-major,
     each bias after its matrix, then the input and target standardizers'
-    means and scales; the metadata holds the FOD map as ``target``."""
+    means and scales; the metadata holds the input and FOD maps as
+    ``regressor``."""
     model = regressor.model
     meta = {
         "input_dim": model.input_dim,
@@ -244,7 +247,7 @@ def write_model(path, regressor):
         "residual": {"from_hidden": 2, "into_hidden": 4},
         "init_seed": model.seed,
         "layer_shapes": [list(w.shape) for w in model.weights],
-        "target": regressor.description(),
+        "regressor": regressor.description(),
     }
     segments = []
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -261,10 +264,11 @@ def read_model(path):
     box = read_container(path)
     if box.kind != "model":
         raise ContainerFormatError(f"expected a model container, got {box.kind!r}")
-    arch = MlpArchitecture(*(_field(box.metadata, key, path, "meta", _integral)
-                             for key in ("input_dim", "output_dim")))
+    input_dim, output_dim = (_field(box.metadata, key, path, "meta", _integral)
+                             for key in ("input_dim", "output_dim"))
     seg = {name: values.astype(float) for name, values in box.segments.items()}
-    regressor = FodRegressor.from_description(box.metadata.get("target"), path)
+    regressor = FodRegressor.from_description(
+        _field(box.metadata, "regressor", path, "meta", dict), path)
     try:
         weights = [seg[f"w{i + 1}"] for i in range(6)]
         biases = [seg[f"b{i + 1}"] for i in range(6)]
@@ -274,7 +278,8 @@ def read_model(path):
         )
     except KeyError as exc:
         raise ContainerFormatError(f"model container {path} has no segment {exc}") from exc
-    regressor.model = MlpModel(arch, weights, biases, seed=box.metadata.get("init_seed"))
+    regressor.model = MlpModel(input_dim, output_dim, weights, biases,
+                               seed=box.metadata.get("init_seed"))
     return regressor
 
 

@@ -20,18 +20,11 @@ SKIP_FROM = 2
 SKIP_INTO = 4
 
 
-@dataclass(frozen=True)
-class MlpArchitecture:
-    input_dim: int
-    output_dim: int
-
-    def __post_init__(self):
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise InvalidArgumentError("layer dimensions must be >= 1")
-
-    @property
-    def layer_dims(self):
-        return (self.input_dim,) + HIDDEN_WIDTHS + (self.output_dim,)
+def _layer_dims(input_dim, output_dim):
+    """The widths of every layer, input and output included."""
+    if input_dim < 1 or output_dim < 1:
+        raise InvalidArgumentError("layer dimensions must be >= 1")
+    return (input_dim,) + HIDDEN_WIDTHS + (output_dim,)
 
 
 @dataclass(frozen=True)
@@ -77,8 +70,8 @@ class MlpModel:
     ``batch @ W + b``.
     """
 
-    def __init__(self, architecture, weights, biases, seed=None):
-        dims = architecture.layer_dims
+    def __init__(self, input_dim, output_dim, weights, biases, seed=None):
+        dims = _layer_dims(input_dim, output_dim)
         if len(weights) != len(dims) - 1 or len(biases) != len(dims) - 1:
             raise InvalidArgumentError("expected one weight/bias pair per layer")
         for i, (w, b) in enumerate(zip(weights, biases)):
@@ -86,22 +79,26 @@ class MlpModel:
                 raise InvalidArgumentError(
                     f"layer {i}: shapes {w.shape}/{b.shape} do not chain {dims[i]}->{dims[i + 1]}"
                 )
-        self.architecture = architecture
+        self.input_dim = input_dim
+        self.output_dim = output_dim
         self.weights = [np.array(w, dtype=float) for w in weights]
         self.biases = [np.array(b, dtype=float) for b in biases]
         self.seed = seed
 
     @property
-    def input_dim(self):
-        return self.architecture.input_dim
+    def layer_dims(self):
+        return _layer_dims(self.input_dim, self.output_dim)
 
     @property
-    def output_dim(self):
-        return self.architecture.output_dim
+    def architecture(self):
+        """The model itself: the benchmark's tracer reads its layer widths as
+        ``model.architecture.layer_dims``."""
+        return self
 
     def copy(self):
         return MlpModel(
-            self.architecture,
+            self.input_dim,
+            self.output_dim,
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
             seed=self.seed,
@@ -110,16 +107,15 @@ class MlpModel:
 
 def build_model(input_dim, output_dim, seed):
     """Seeded Gaussian initialization, std sqrt(2 / (fan_in + fan_out))."""
-    arch = MlpArchitecture(input_dim, output_dim)
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
-    dims = arch.layer_dims
+    dims = _layer_dims(input_dim, output_dim)
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         std = np.sqrt(2.0 / (fan_in + fan_out))
         weights.append(rng.standard_normal((fan_in, fan_out)) * std)
         biases.append(np.zeros(fan_out))
-    return MlpModel(arch, weights, biases, seed=seed)
+    return MlpModel(input_dim, output_dim, weights, biases, seed=seed)
 
 
 def elu(x, out=None):

@@ -3,14 +3,17 @@
 A subcase names the input/output representation pair of the learning
 problem: signal coefficients at an optimized or unoptimized scale on the
 input side, and spherical-harmonic or q-space-basis coefficients of the
-FOD on the output side. For every evaluation fold the scale is optimized
-on training blocks only and then frozen for fitting the test rows, so no
-information leaks across the split; the same block discipline applies to
-the network folds. A `FodRegressor` standardizes and trains on each
-fold's training rows; its predictions are mapped back to sphere
-functions, exponentiated out of log space, refit as spherical harmonics
-and scored with the angular correlation coefficient against the ground
-truth. The `train` and `predict` commands use the same regressor.
+FOD on the output side. Each evaluation fold runs `train_regressor` on
+its training rows: the scale is optimized on training blocks only, and a
+`FodRegressor` records it with the rest of its input map, standardizes
+and trains, so the test rows are fitted at the frozen scale and no
+information leaks across the split; the same block discipline applies
+to the network folds. The regressor's predictions are mapped back to
+sphere functions, exponentiated out of log space, refit as spherical
+harmonics and scored with the angular correlation coefficient against
+the ground truth. The `train` command runs the same fold body on every
+row of a dataset, and `predict` fits a dataset's signals at the model's
+own scale.
 """
 
 import functools
@@ -115,15 +118,22 @@ _STANDARDIZER_FLOOR = 0.05
 def shell_mask(samples, shells=None, withhold_b=None):
     """Boolean sample mask selecting the requested shells.
 
-    `shells = None` keeps every shell; `withhold_b` then removes one.
+    `shells = None` keeps every shell; `withhold_b` then removes one. A
+    requested shell that has no samples is an error naming it.
     """
     bvalues = samples.bvalues
     if shells is None:
         mask = np.ones(len(samples), dtype=bool)
     else:
         mask = np.zeros(len(samples), dtype=bool)
+        missing = []
         for s in shells:
-            mask |= np.abs(bvalues - float(s)) <= _SHELL_TOLERANCE
+            on_shell = np.abs(bvalues - float(s)) <= _SHELL_TOLERANCE
+            if not on_shell.any():
+                missing.append(float(s))
+            mask |= on_shell
+        if missing:
+            raise InvalidArgumentError(f"the scheme has no samples on shells {missing}")
     if withhold_b is not None:
         mask &= np.abs(bvalues - float(withhold_b)) > _SHELL_TOLERANCE
     if not mask.any():
@@ -169,11 +179,10 @@ class _Standardizer:
         return values * self.scale + self.mean
 
 
-def fod_samples(fod_coeffs, sh_order, cfg, log=True):
-    """SH FODs of degree `sh_order` sampled on the fixed FOD direction set,
-    one row per FOD, clamp-logged unless `log` is false."""
-    values = fod_coeffs @ sh.eval_sh_basis(fod_directions(cfg), sh_order).T
-    return clamp_log(values, cfg.nonneg) if log else values
+def fod_samples(fod_coeffs, sh_order, cfg):
+    """SH FODs of degree `sh_order` sampled on the fixed FOD direction set
+    and clamp-logged, one row per FOD."""
+    return clamp_log(fod_coeffs @ sh.eval_sh_basis(fod_directions(cfg), sh_order).T, cfg.nonneg)
 
 
 def fod_targets(values, target_kind, zeta, cfg):
@@ -208,87 +217,123 @@ _FOD_MAP_FIELDS = ("fod_bvalue", "direction_seed", "n_fod_directions",
                    "direction_iterations", "sh_order")
 
 
-class FodRegressor:
-    """A network from signal coefficients to linear-space SH FODs, with the
-    standardizers of its inputs and targets and the FOD map: the target kind
-    ("shore" or "sh"; None when the targets are not log-domain FOD
-    coefficients, which leaves nothing to map), the scale `zeta`, from `cfg`
-    the radial order, FOD shell, FOD direction set and SH order of "sh"
-    targets, and the SH order `out_degree` of the FODs returned."""
+def _start_zeta(cfg, samples):
+    """cfg.zeta0, or the default start for the shells that cfg selects of
+    the scheme `samples`."""
+    if cfg.zeta0 is not None:
+        return cfg.zeta0
+    return shore.default_zeta0(samples.subset(shell_mask(samples, cfg.shells, cfg.withhold_b)))
 
-    def __init__(self, target_kind=None, zeta=None, cfg=None, out_degree=None):
-        self.target_kind = target_kind
-        self.zeta = zeta
+
+class FodRegressor:
+    """A network from a dataset's signals to linear-space SH FODs.
+
+    It holds the standardizers of its inputs and targets, the scale
+    `zeta`, the SH order `out_degree` of the FODs returned, and from the
+    PipelineConfig `cfg` the input map (subcase, shell selection, nonneg
+    floor and the fit settings) and the FOD map (FOD shell, FOD direction
+    set and SH order of "sh" targets).
+    """
+
+    def __init__(self, cfg, zeta, out_degree):
         self.cfg = cfg
+        self.zeta = zeta
         self.out_degree = out_degree
         self.model = self.in_norm = self.out_norm = None
 
     def description(self):
-        """The FOD map as plain values (None without one)."""
-        if self.target_kind is None:
-            return None
-        return {"target_kind": self.target_kind, "zeta": float(self.zeta),
-                "radial_order": self.cfg.shore.radial_order, "out_sh_order": self.out_degree,
-                **{name: getattr(self.cfg, name) for name in _FOD_MAP_FIELDS}}
+        """The input and FOD maps as plain values."""
+        values = self.cfg.to_dict()
+        return {"zeta": float(self.zeta), "out_sh_order": self.out_degree,
+                **values["shore"], **{name: values[name] for name in (
+                    "subcase", "shells", "withhold_b", "nonneg_epsilon", *_FOD_MAP_FIELDS)}}
 
     @classmethod
     def from_description(cls, values, source):
-        """An unfitted regressor with the FOD map of a `description` read
-        from the file `source`, which an incomplete description names."""
-        if not values or values.get("target_kind") is None:
-            return cls()
+        """An unfitted regressor with the maps of a `description` read from
+        the file `source`, which a missing or malformed value names."""
         try:
-            if values["target_kind"] not in ("shore", "sh"):
-                raise ValueError(f"unknown target kind {values['target_kind']!r}")
+            shells, withhold_b = values["shells"], values["withhold_b"]
             cfg = PipelineConfig(
-                shore=ShoreFitConfig(radial_order=int(values["radial_order"])),
+                subcase=values["subcase"],
+                shells=None if shells is None else tuple(float(s) for s in shells),
+                withhold_b=None if withhold_b is None else float(withhold_b),
+                shore=ShoreFitConfig(int(values["radial_order"]), float(values["lambda_n"]),
+                                     float(values["lambda_l"])),
+                nonneg=NonNegConfig(float(values["nonneg_epsilon"])),
                 **{name: type(getattr(PipelineConfig, name))(values[name])
                    for name in _FOD_MAP_FIELDS},
             )
-            return cls(values["target_kind"], float(values["zeta"]), cfg,
-                       int(values["out_sh_order"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContainerFormatError(f"{source}: bad FOD map description: {exc!r}") from exc
+            return cls(cfg, float(values["zeta"]), int(values["out_sh_order"]))
+        except (KeyError, TypeError, ValueError, InvalidArgumentError) as exc:
+            raise ContainerFormatError(f"{source}: bad regressor description: {exc!r}") from exc
 
-    def fit(self, inputs, targets, block_ids, train_cfg, seed, nested):
-        """Standardize on these rows and train a network seeded by `seed`;
-        with `nested`, the first of train_cfg.k_folds block-aware inner folds
-        (split seed `seed` + 1) is the validation data. Returns the per-epoch
-        training loss and the number of rows fitted."""
-        self.in_norm = _Standardizer(inputs)
-        self.out_norm = _Standardizer(targets)
-        inputs_n = self.in_norm.forward(inputs)
-        targets_n = self.out_norm.forward(targets)
-        data = net.VoxelDataset(inputs_n, targets_n, block_ids)
-
-        fit_rows = np.arange(len(data))
-        validation = None
-        if nested:
-            fit_rows, val_rows = net.kfold_split(data, train_cfg.k_folds, seed=seed + 1)[0]
-            validation = (inputs_n[val_rows], targets_n[val_rows])
-
-        model = net.build_model(inputs.shape[1], targets.shape[1], seed=seed)
-        self.model, history = net.train(
-            model,
-            net.VoxelDataset(inputs_n[fit_rows], targets_n[fit_rows], block_ids[fit_rows]),
-            train_cfg,
-            validation=validation,
-        )
-        return history, len(fit_rows)
+    def input_coeffs(self, signals, samples):
+        """The network inputs of `signals` (rows of a dataset acquired on
+        `samples`): the selected shells, clamp-logged and fitted at the
+        regressor's scale."""
+        mask = shell_mask(samples, self.cfg.shells, self.cfg.withhold_b)
+        return shore.fit_shore_many(clamp_log(signals[:, mask], self.cfg.nonneg),
+                                    samples.subset(mask), self.cfg.shore, self.zeta)
 
     def predict_fod_sh(self, inputs):
         """SH FOD coefficients (degree out_degree), one row per input row."""
-        if self.target_kind is None:
-            raise InvalidArgumentError("regressor targets are not log-domain FOD coefficients")
         if inputs.shape[1:] != (self.model.input_dim,):
             raise InvalidArgumentError(
                 f"got inputs of shape {inputs.shape} for a model of {self.model.input_dim} inputs"
             )
         predictions = self.out_norm.inverse(net.forward(self.model, self.in_norm.forward(inputs)))
         return _predicted_fod_sh(
-            predictions, self.target_kind, fod_directions(self.cfg), self.cfg, self.zeta,
-            self.out_degree,
+            predictions, SUBCASES[self.cfg.subcase][1], fod_directions(self.cfg), self.cfg,
+            self.zeta, self.out_degree,
         )
+
+
+def train_regressor(cfg, dataset, rows, seed):
+    """Train a FodRegressor of cfg.subcase on the given `rows` of `dataset`:
+    the body of every cross-validation fold, and the `train` command.
+
+    The scale lives on the signal representation: it is optimized from
+    cfg.zeta0 on these rows' linear-space attenuations of the selected
+    shells, or fixed there for an unoptimized subcase, and the inputs are
+    the clamp-logged signals fitted at it. The regressor standardizes its inputs and targets on these
+    rows and trains a network seeded by `seed`; with cfg.nested, the first
+    of cfg.train.k_folds block-aware inner folds (split seed `seed` + 1)
+    is the validation data. Returns the regressor, the per-epoch training
+    loss and the number of rows fitted.
+    """
+    optimize_scale, target_kind = SUBCASES[cfg.subcase]
+    signals = dataset.signals[rows]
+    block_ids = dataset.block_ids[rows]
+    zeta = _start_zeta(cfg, dataset.samples)
+    if optimize_scale:
+        mask = shell_mask(dataset.samples, cfg.shells, cfg.withhold_b)
+        zeta = shore.optimize_zeta(signals[:, mask], dataset.samples.subset(mask), cfg.shore,
+                                   zeta)
+    regressor = FodRegressor(cfg, zeta, dataset.sh_order)
+    inputs = regressor.input_coeffs(signals, dataset.samples)
+    targets = fod_targets(fod_samples(dataset.fod_coeffs[rows], dataset.sh_order, cfg),
+                          target_kind, zeta, cfg)
+    regressor.in_norm = _Standardizer(inputs)
+    regressor.out_norm = _Standardizer(targets)
+    inputs_n = regressor.in_norm.forward(inputs)
+    targets_n = regressor.out_norm.forward(targets)
+
+    fit_rows = np.arange(len(inputs))
+    validation = None
+    if cfg.nested:
+        data = net.VoxelDataset(inputs_n, targets_n, block_ids)
+        fit_rows, val_rows = net.kfold_split(data, cfg.train.k_folds, seed=seed + 1)[0]
+        validation = (inputs_n[val_rows], targets_n[val_rows])
+
+    model = net.build_model(inputs.shape[1], targets.shape[1], seed=seed)
+    regressor.model, history = net.train(
+        model,
+        net.VoxelDataset(inputs_n[fit_rows], targets_n[fit_rows], block_ids[fit_rows]),
+        cfg.train,
+        validation=validation,
+    )
+    return regressor, history, len(fit_rows)
 
 
 def run_subcase_experiment(cfg, dataset):
@@ -298,29 +343,15 @@ def run_subcase_experiment(cfg, dataset):
     over folds, per-fold diagnostics (including the frozen scale), and a
     block audit proving that no block crossed its fold boundary.
     """
-    optimize_scale, target_kind = SUBCASES[cfg.subcase]
-    mask = shell_mask(dataset.samples, cfg.shells, cfg.withhold_b)
-    sub_samples = dataset.samples.subset(mask)
-    lin_signals = dataset.signals[:, mask]
-    log_signals = clamp_log(lin_signals, cfg.nonneg)
-
-    carrier = net.VoxelDataset(dataset.signals, dataset.fod_coeffs, dataset.block_ids)
-    splits = net.kfold_split(carrier, cfg.eval_folds, seed=cfg.train.seed)
+    optimize_scale = SUBCASES[cfg.subcase][0]
+    zeta0 = _start_zeta(cfg, dataset.samples)
+    splits = net.kfold_split(dataset, cfg.eval_folds, seed=cfg.train.seed)
     limit = len(splits) if cfg.max_folds is None else min(cfg.max_folds, len(splits))
 
-    zeta0 = cfg.zeta0 if cfg.zeta0 is not None else shore.default_zeta0(sub_samples)
     all_acc = []
     all_rows = []
     folds = []
     audit_folds = []
-    log_fod = fod_samples(dataset.fod_coeffs, dataset.sh_order, cfg)
-    # the inputs change between folds only with each fold's optimized
-    # scale, and the targets only if they are q-space fits at that scale
-    fold_targets = optimize_scale and target_kind == "shore"
-    if not optimize_scale:
-        inputs = shore.fit_shore_many(log_signals, sub_samples, cfg.shore, zeta0)
-    if not fold_targets:
-        targets = fod_targets(log_fod, target_kind, zeta0, cfg)
     for fold_index, (train_rows, test_rows) in enumerate(splits[:limit]):
         train_blocks = np.unique(dataset.block_ids[train_rows])
         test_blocks = np.unique(dataset.block_ids[test_rows])
@@ -330,22 +361,12 @@ def run_subcase_experiment(cfg, dataset):
                 f"fold {fold_index}: blocks {overlap.tolist()} appear on both sides"
             )
 
-        zeta = zeta0
-        if optimize_scale:
-            # the scale lives on the signal representation: optimize it on
-            # the linear-space attenuations, then fit the log-space problem
-            zeta = shore.optimize_zeta(lin_signals[train_rows], sub_samples, cfg.shore, zeta0)
-            inputs = shore.fit_shore_many(log_signals, sub_samples, cfg.shore, zeta)
-        if fold_targets:
-            targets = fod_targets(log_fod, target_kind, zeta, cfg)
-        regressor = FodRegressor(target_kind, zeta, cfg, dataset.sh_order)
-        history, n_fit_rows = regressor.fit(
-            inputs[train_rows], targets[train_rows], dataset.block_ids[train_rows],
-            cfg.train, _fold_seed(cfg.train.seed, fold_index), cfg.nested,
-        )
+        regressor, history, n_fit_rows = train_regressor(
+            cfg, dataset, train_rows, _fold_seed(cfg.train.seed, fold_index))
         fold_acc = sh.acc(
-            regressor.predict_fod_sh(inputs[test_rows]), dataset.fod_coeffs[test_rows],
-            dataset.sh_order,
+            regressor.predict_fod_sh(
+                regressor.input_coeffs(dataset.signals[test_rows], dataset.samples)),
+            dataset.fod_coeffs[test_rows], dataset.sh_order,
         )
 
         all_acc.append(fold_acc)
@@ -353,7 +374,7 @@ def run_subcase_experiment(cfg, dataset):
         median, mean = stats.summarize_report(fold_acc)
         folds.append({
             "fold": fold_index,
-            "zeta": float(zeta),
+            "zeta": float(regressor.zeta),
             "zeta0": float(zeta0),
             "optimized": optimize_scale,
             "n_train_blocks": int(train_blocks.size),

@@ -206,29 +206,32 @@ def test_11_acc_identities():
 
 
 def test_12_subcommand_determinism(tmp_path):
-    # identical seeds AND identical inputs: the phantom is written twice to
-    # the same path, downstream outputs go to per-run paths and must match
+    # identical seeds AND identical inputs: the phantom, the model and the
+    # predictions are written twice to the same paths, which the outputs
+    # record; the other outputs go to per-run paths and must match
     from deepshore.cli import run_cli
     from deepshore.io import read_report
 
     data = tmp_path / "d.dsc"
+    model = tmp_path / "m.dsc"
+    preds = tmp_path / "p.dsc"
     outputs = []
     for tag in ("a", "b"):
         coeffs = tmp_path / f"{tag}_c.dsc"
-        model = tmp_path / f"{tag}_m.dsc"
         rep = tmp_path / f"{tag}_r.json"
         assert run_cli(["phantom", "--voxels", "4", "--rotations", "5", "--seed", "9",
                         "--noiseless", "--out", str(data)]) == 0
         assert run_cli(["fit-shore", "--in", str(data), "--zeta", "1500", "--log",
                         "--out", str(coeffs)]) == 0
-        assert run_cli(["train", "--inputs", str(coeffs), "--targets", str(coeffs),
+        assert run_cli(["train", "--in", str(data), "--zeta0", "1500",
                         "--epochs", "2", "--batch-size", "8", "--seed", "1",
                         "--out", str(model), "--report", str(rep)]) == 0
+        assert run_cli(["predict", "--model", str(model), "--in", str(data),
+                        "--out", str(preds)]) == 0
         doc = read_report(rep)
         doc.pop("created_at")
-        doc.pop("inputs"), doc.pop("targets")  # output paths differ per run
-        outputs.append((data.read_bytes(), coeffs.read_bytes(),
-                        model.read_bytes(), doc))
+        outputs.append((data.read_bytes(), coeffs.read_bytes(), model.read_bytes(),
+                        preds.read_bytes(), doc))
     ok = all(a == b for a, b in zip(outputs[0], outputs[1]))
     report(12, "reruns byte-identical (timestamp excluded)", ok)
 

@@ -22,7 +22,7 @@ from deepshore.io import (
     write_container,
     write_dataset,
 )
-from deepshore.nonneg import NonNegConfig
+from deepshore.nonneg import NonNegConfig, clamp_log
 
 
 def make_phantom(tmp_path, name="d.dsc", voxels=6, rotations=8, seed=1, extra=()):
@@ -142,40 +142,21 @@ class TestOptimizeZetaCommand:
         assert "created_at" in doc
 
 
-class TestFodToShoreCommand:
-    def test_writes_target_coeffs(self, tmp_path):
-        data = make_phantom(tmp_path)
-        out = tmp_path / "t.dsc"
-        code = run_cli(["fod-to-shore", "--in", str(data), "--zeta", "1500",
-                        "--log", "--out", str(out)])
-        assert code == 0
-        coeffs, meta = read_coeffs(out)
-        assert coeffs.shape == (54, 50)
-        assert meta["fod_bvalue"] == 2000.0
-
-
 class TestTrainPredictEvaluate:
     @pytest.fixture()
     def chain(self, tmp_path):
-        """The README chain up to a trained model: (dataset, inputs, model) paths."""
+        """The README chain up to a trained model: (dataset, model) paths."""
         data = make_phantom(tmp_path, voxels=8, rotations=5, seed=3)
-        inputs = tmp_path / "x.dsc"
-        targets = tmp_path / "y.dsc"
-        assert run_cli(["fit-shore", "--in", str(data), "--optimize", "--log",
-                        "--out", str(inputs)]) == 0
-        _, meta = read_coeffs(inputs)
-        assert run_cli(["fod-to-shore", "--in", str(data), "--zeta", str(meta["zeta"]),
-                        "--log", "--out", str(targets)]) == 0
         model = tmp_path / "m.dsc"
-        assert run_cli(["train", "--inputs", str(inputs), "--targets", str(targets),
+        assert run_cli(["train", "--in", str(data),
                         "--epochs", "3", "--batch-size", "16", "--seed", "0",
                         "--out", str(model), "--report", str(tmp_path / "t.json")]) == 0
-        return data, inputs, model
+        return data, model
 
     def test_full_command_chain(self, tmp_path, chain):
-        data, inputs, model = chain
+        data, model = chain
         preds = tmp_path / "p.dsc"
-        assert run_cli(["predict", "--model", str(model), "--inputs", str(inputs),
+        assert run_cli(["predict", "--model", str(model), "--in", str(data),
                         "--out", str(preds)]) == 0
         coeffs, meta = read_coeffs(preds)
         assert coeffs.shape == (48, 45)
@@ -189,60 +170,114 @@ class TestTrainPredictEvaluate:
         assert acc.shape == (48,) and np.all(np.isfinite(acc))
 
     def test_train_standardizes_and_predict_matches_the_regressor(self, tmp_path, chain):
-        _, inputs, model = chain
+        data, model = chain
         regressor = read_model(model)
-        x, x_meta = read_coeffs(inputs)
-        targets, target_meta = read_coeffs(tmp_path / "y.dsc")
+        dataset = read_dataset(data)
+        rows = np.arange(len(dataset))
+        # the same fold body in memory, on every row, without a validation fold
+        cfg = pipeline.PipelineConfig(train=net.TrainConfig(epochs=3, batch_size=16, seed=0),
+                                      nested=False)
+        in_memory, _, _ = pipeline.train_regressor(cfg, dataset, rows, 0)
+        assert regressor.zeta == in_memory.zeta
+        assert regressor.description() == in_memory.description()
+        x = in_memory.input_coeffs(dataset.signals, dataset.samples)
+        targets = pipeline.fod_targets(pipeline.fod_samples(dataset.fod_coeffs, 8, cfg),
+                                       "shore", in_memory.zeta, cfg)
         # the standardizers are the training rows' own, to f32 round-off
         assert np.allclose(regressor.out_norm.mean, targets.mean(axis=0), rtol=1e-6, atol=1e-6)
         assert np.allclose(regressor.in_norm.mean, x.mean(axis=0), rtol=1e-6, atol=1e-6)
 
-        # the same training in memory gives the container's FODs to f32 round-off
-        in_memory = pipeline.FodRegressor.from_description(target_meta, "y.dsc")
-        in_memory.fit(x, targets, x_meta["block_ids"],
-                      net.TrainConfig(epochs=3, batch_size=16, seed=0), 0, nested=False)
+        # the in-memory regressor gives the container's FODs to f32 round-off
         preds = tmp_path / "p.dsc"
-        assert run_cli(["predict", "--model", str(model), "--inputs", str(inputs),
+        assert run_cli(["predict", "--model", str(model), "--in", str(data),
                         "--out", str(preds)]) == 0
         fods, _ = read_coeffs(preds)
         expected = in_memory.predict_fod_sh(x)
         assert np.allclose(fods, expected, rtol=1e-5, atol=1e-6 * np.abs(expected).max())
 
-    def test_predict_rejects_a_model_without_fod_targets(self, tmp_path, capsys):
-        data = make_phantom(tmp_path, voxels=4, rotations=5, seed=9)
-        coeffs = tmp_path / "c.dsc"
-        model = tmp_path / "m.dsc"
-        assert run_cli(["fit-shore", "--in", str(data), "--zeta", "1500", "--log",
-                        "--out", str(coeffs)]) == 0
-        assert run_cli(["train", "--inputs", str(coeffs), "--targets", str(coeffs),
-                        "--epochs", "2", "--batch-size", "8", "--out", str(model)]) == 0
-        code = run_cli(["predict", "--model", str(model), "--inputs", str(coeffs),
-                        "--out", str(tmp_path / "p.dsc")])
-        assert code == 2
-        assert str(model) in capsys.readouterr().err
+    def test_predict_rejects_a_model_without_fod_targets(self, tmp_path, chain, capsys):
+        """A model container of the former format holds no input map: without
+        FOD targets, or with the FOD map alone, it names the missing key."""
+        data, model = chain
+        box = read_container(model)
+        fod_map = {k: box.metadata["regressor"][k] for k in (
+            "zeta", "radial_order", "out_sh_order", "fod_bvalue", "direction_seed",
+            "n_fod_directions", "direction_iterations", "sh_order")}
+        for target in (None, {"target_kind": "shore", **fod_map}):
+            meta = {k: v for k, v in box.metadata.items() if k != "regressor"}
+            write_container(model, "model", list(box.segments.items()),
+                            {**meta, "target": target})
+            code = run_cli(["predict", "--model", str(model), "--in", str(data),
+                            "--out", str(tmp_path / "p.dsc")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert str(model) in err and "'regressor'" in err
+        assert not (tmp_path / "p.dsc").exists()
 
     def test_predict_rejects_a_model_without_standardizers(self, tmp_path, chain, capsys):
-        _, inputs, model = chain
+        data, model = chain
         box = read_container(model)
         kept = [(name, values) for name, values in box.segments.items()
                 if not name.endswith(("_mean", "_scale"))]
         write_container(model, "model", kept, box.metadata)
-        code = run_cli(["predict", "--model", str(model), "--inputs", str(inputs),
+        code = run_cli(["predict", "--model", str(model), "--in", str(data),
                         "--out", str(tmp_path / "p.dsc")])
         assert code == 2
         assert str(model) in capsys.readouterr().err
 
-    def test_train_rejects_targets_with_an_incomplete_fod_map(self, tmp_path, chain, capsys):
-        _, inputs, _ = chain
-        targets = tmp_path / "y.dsc"
-        coeffs, meta = read_coeffs(targets)
-        del meta["zeta"]
-        write_coeffs(targets, coeffs, meta)
-        code = run_cli(["train", "--inputs", str(inputs), "--targets", str(targets),
-                        "--epochs", "2", "--out", str(tmp_path / "m2.dsc")])
+    def test_predict_refits_the_dataset_at_the_model_scale(self, tmp_path, chain):
+        """A model trained on the default four shells predicts a three-shell
+        scheme from fits at its own scale, not at that dataset's optimum."""
+        _, model = chain
+        other = make_phantom(tmp_path, name="three.dsc", voxels=4, rotations=5, seed=11,
+                             extra=("--shells", "2000,5000,8000", "--dirs-per-shell", "30"))
+        preds = tmp_path / "p.dsc"
+        assert run_cli(["predict", "--model", str(model), "--in", str(other),
+                        "--out", str(preds)]) == 0
+        fods, _ = read_coeffs(preds)
+        regressor = read_model(model)
+        dataset = read_dataset(other)
+        log_signals = clamp_log(dataset.signals, NonNegConfig())
+        at_model = regressor.predict_fod_sh(shore.fit_shore_many(
+            log_signals, dataset.samples, shore.ShoreFitConfig(), regressor.zeta))
+        assert np.array_equal(fods, at_model.astype("<f4"))
+        own = shore.optimize_zeta(dataset.signals, dataset.samples, shore.ShoreFitConfig(),
+                                  shore.default_zeta0(dataset.samples))
+        assert not np.isclose(own, regressor.zeta, rtol=0.01)
+        at_own = regressor.predict_fod_sh(shore.fit_shore_many(
+            log_signals, dataset.samples, shore.ShoreFitConfig(), own))
+        assert not np.allclose(fods, at_own, rtol=1e-3)
+
+    def test_predict_names_the_model_shells_a_dataset_lacks(self, tmp_path, capsys):
+        data = make_phantom(tmp_path, voxels=6, rotations=5, seed=3)
+        model = tmp_path / "m.dsc"
+        assert run_cli(["train", "--in", str(data), "--shells", "3000,6000", "--epochs", "2",
+                        "--out", str(model)]) == 0
+        other = make_phantom(tmp_path, name="three.dsc", voxels=3, rotations=2, seed=11,
+                             extra=("--shells", "2000,3000,8000"))
+        code = run_cli(["predict", "--model", str(model), "--in", str(other),
+                        "--out", str(tmp_path / "p.dsc")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert str(targets) in err and "zeta" in err
+        assert "[6000.0]" in capsys.readouterr().err
+
+    def test_train_records_the_scale_that_optimize_zeta_reports(self, tmp_path):
+        data = make_phantom(tmp_path, voxels=6, rotations=5, seed=3)
+        model, report = tmp_path / "m.dsc", tmp_path / "z.json"
+        assert run_cli(["train", "--in", str(data), "--subcase", "opt-shore-to-shore",
+                        "--withhold-b", "6000", "--epochs", "2", "--out", str(model)]) == 0
+        assert run_cli(["optimize-zeta", "--in", str(data), "--withhold-b", "6000",
+                        "--report", str(report)]) == 0
+        assert read_model(model).zeta == read_report(report)["zeta"]
+
+    def test_train_stops_early_with_a_validation_fold(self, tmp_path):
+        data = make_phantom(tmp_path, voxels=10, rotations=5, seed=3)
+        report = tmp_path / "t.json"
+        assert run_cli(["train", "--in", str(data), "--epochs", "40", "--batch-size", "16",
+                        "--learning-rate", "0.01", "--early-stop", "--patience", "1",
+                        "--out", str(tmp_path / "m.dsc"), "--report", str(report)]) == 0
+        doc = read_report(report)
+        assert len(doc["loss_history"]) < 40
+        assert doc["n_fit_rows"] < 60
 
     def test_evaluate_against_dataset_truth(self, tmp_path):
         data = make_phantom(tmp_path, voxels=6, rotations=4, seed=5)
@@ -381,6 +416,16 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, ke
     assert repr(key) in capsys.readouterr().err
 
 
+def test_train_takes_one_subcase_from_a_config_file(tmp_path, capsys):
+    data = make_phantom(tmp_path)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"subcase": ["opt-shore-to-shore"]}))
+    code = run_cli(["--config", str(cfg_file), "train", "--in", str(data),
+                    "--out", str(tmp_path / "m.dsc")])
+    assert code == 1
+    assert "'subcase'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["zeta-subsample", "subsample", "epoch"])
 def test_config_key_that_no_command_takes_is_usage_error(tmp_path, capsys, key):
     data = make_phantom(tmp_path)
@@ -422,7 +467,7 @@ def test_malformed_container_header_is_data_error(tmp_path, capsys, case):
         key = "list"
     else:
         write_container(path, "model", [], {"output_dim": 45})
-        argv = ["predict", "--model", str(path), "--inputs", str(path),
+        argv = ["predict", "--model", str(path), "--in", str(path),
                 "--out", str(tmp_path / "p.dsc")]
         key = "input_dim"
     assert run_cli(argv) == 2
@@ -455,17 +500,14 @@ class TestNonFiniteVoxel:
 class TestNonFiniteCoefficients:
     def test_train_rejects_an_infinite_input_row(self, tmp_path, capsys):
         data = make_phantom(tmp_path, voxels=3, rotations=2)
-        inputs = tmp_path / "c.dsc"
-        assert run_cli(["fit-shore", "--in", str(data), "--zeta", "700",
-                        "--out", str(inputs)]) == 0
-        coeffs, meta = read_coeffs(inputs)
-        coeffs[4, 9] = np.inf
-        write_coeffs(inputs, coeffs, meta)
-        code = run_cli(["train", "--inputs", str(inputs), "--targets", str(inputs),
-                        "--epochs", "2", "--out", str(tmp_path / "m.dsc")])
+        dataset = read_dataset(data)
+        dataset.signals[4, 9] = np.inf
+        write_dataset(data, dataset)
+        code = run_cli(["train", "--in", str(data), "--epochs", "2",
+                        "--out", str(tmp_path / "m.dsc")])
         assert code == 2
         err = capsys.readouterr().err
-        assert str(inputs) in err and "row 4" in err
+        assert str(data) in err and "row 4" in err
         assert not (tmp_path / "m.dsc").exists()
 
     @pytest.mark.parametrize("side", ["pred", "truth"])
@@ -487,7 +529,7 @@ class TestNonFiniteCoefficients:
 
 
 @pytest.mark.parametrize("command, zeta", [
-    ("fit-shore", "nan"), ("fit-shore", "1e-300"), ("fod-to-shore", "nan"),
+    ("fit-shore", "nan"), ("fit-shore", "1e-300"),
 ])
 def test_scale_without_a_finite_design_is_data_error(tmp_path, capsys, command, zeta):
     data = make_phantom(tmp_path, voxels=2, rotations=2)
@@ -535,24 +577,12 @@ class TestDefaults:
                      "--out", str(tmp_path / "c.dsc")])
         assert fit == [shore.ShoreFitConfig()]
 
-    def test_fod_to_shore(self, tmp_path, monkeypatch):
-        data = make_phantom(tmp_path)
-        seen = capture(monkeypatch, pipeline, "fod_directions", 0)
-        with pytest.raises(_Captured):
-            run_cli(["fod-to-shore", "--in", str(data), "--zeta", "700",
-                     "--out", str(tmp_path / "t.dsc")])
-        assert seen == [pipeline.PipelineConfig()]
-
     def test_train(self, tmp_path, monkeypatch):
         data = make_phantom(tmp_path)
-        coeffs = tmp_path / "c.dsc"
-        assert run_cli(["fit-shore", "--in", str(data), "--zeta", "700",
-                        "--out", str(coeffs)]) == 0
-        seen = capture(monkeypatch, net, "train", 2)
+        seen = capture(monkeypatch, pipeline, "train_regressor", 0)
         with pytest.raises(_Captured):
-            run_cli(["train", "--inputs", str(coeffs), "--targets", str(coeffs),
-                     "--out", str(tmp_path / "m.dsc")])
-        assert seen == [net.TrainConfig()]
+            run_cli(["train", "--in", str(data), "--out", str(tmp_path / "m.dsc")])
+        assert seen == [pipeline.PipelineConfig(nested=False)]
 
     def test_crossval(self, tmp_path, monkeypatch):
         data = make_phantom(tmp_path)

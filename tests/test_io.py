@@ -20,6 +20,7 @@ from deepshore.io import (
     write_model,
     write_report,
 )
+from deepshore.nonneg import NonNegConfig
 from deepshore.phantom import PhantomConfig
 from deepshore.pipeline import FodRegressor, PipelineConfig, _Standardizer
 from deepshore.shore import QSpaceSamples
@@ -162,18 +163,15 @@ class TestCoeffsModel:
         assert loaded.model.seed == regressor.model.seed
         assert loaded.description() == regressor.description()
         assert loaded.cfg.shore.radial_order == 6 and loaded.zeta == 700.0
-
-    def test_model_without_fod_map_roundtrips(self, tmp_path):
-        path = tmp_path / "m.dsc"
-        regressor = small_regressor(FodRegressor())
-        write_model(path, regressor)
-        assert read_model(path).target_kind is None
+        # the input map comes back with the FOD map
+        assert loaded.cfg.subcase == "opt-shore-to-sh" and loaded.cfg.shells == (3000.0, 9000.0)
+        assert loaded.cfg.nonneg.epsilon == 0.01 and loaded.cfg.withhold_b is None
 
     def test_model_with_incomplete_fod_map_names_the_file(self, tmp_path):
         path = tmp_path / "m.dsc"
         write_model(path, small_regressor())
         box = read_container(path)
-        del box.metadata["target"]["zeta"]
+        del box.metadata["regressor"]["zeta"]
         write_container(path, "model", list(box.segments.items()), box.metadata)
         with pytest.raises(ContainerFormatError, match="zeta") as err:
             read_model(path)
@@ -209,10 +207,11 @@ class TestCoeffsModel:
         assert a.read_bytes() == b.read_bytes()
 
 
-def small_regressor(regressor=None):
-    """An untrained regressor with standardizers and the default FOD map."""
-    if regressor is None:
-        regressor = FodRegressor("shore", 700.0, PipelineConfig(), 8)
+def small_regressor():
+    """An untrained regressor with standardizers and the default maps."""
+    cfg = PipelineConfig(subcase="opt-shore-to-sh", shells=(3000.0, 9000.0),
+                         nonneg=NonNegConfig(0.01))
+    regressor = FodRegressor(cfg, 700.0, 8)
     rng = np.random.default_rng(3)
     regressor.model = build_model(50, 50, seed=5)
     regressor.in_norm = _Standardizer(rng.standard_normal((20, 50)))

@@ -512,7 +512,7 @@ class TestFodConversions:
         energy = fod.coeffs**2
         aniso = energy[degrees >= 2].sum()
         ceiling = np.sqrt(1.0 - energy[degrees == 8].sum() / aniso)
-        samples = fod_samples(fod.coeffs[None], 8, self.cfg, log=False)
+        samples = fod.coeffs[None] @ sh.eval_sh_basis(dirs200, 8).T
         targets = fod_targets(samples, "shore", 700.0, self.cfg)
         fod_scheme = QSpaceSamples(np.full(len(dirs200), 2000.0), dirs200)
         values = targets @ shore_design_matrix(fod_scheme, 6, 700.0).T
