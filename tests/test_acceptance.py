@@ -171,10 +171,13 @@ def test_09_overfit_sanity():
 
 def test_10_end_to_end_subcases():
     # the pooled median over every held-out voxel of the full cross
-    # validation, as the source experiment pools all voxels
+    # validation, as the source experiment pools all voxels. The phantom
+    # is noisy, as the paper's data are: on noiseless signals the inputs
+    # at the two scales are linear images of each other, their medians
+    # tie to 4e-5 and rounding decides which is larger
     dataset = phantom.generate_dataset(
         phantom.PhantomConfig(n_voxels=200, rotations_per_voxel=100,
-                              snr=float("inf"), seed=2024)
+                              snr=30.0, seed=2024)
     )
     train_cfg = net.TrainConfig(epochs=300, batch_size=1000, learning_rate=1e-3,
                                 stabilizer=1e-6, momentum=0.9, seed=0,
@@ -186,10 +189,10 @@ def test_10_end_to_end_subcases():
     ]
     reports, comparisons = pipeline.compare_subcases(dataset, configs)
     opt, unopt = reports
-    ok = opt.median >= 0.80 and opt.median >= unopt.median
-    report(10, "end-to-end: opt median >= 0.80 and >= unopt median", ok,
-           f"opt {opt.median:.4f}, unopt {unopt.median:.4f}, "
-           f"p {comparisons[0]['p_bonferroni']:.2e}")
+    p = comparisons[0]["p_bonferroni"]
+    ok = opt.median >= 0.80 and opt.median >= unopt.median and p < 0.05
+    report(10, "end-to-end: opt median >= 0.80 and >= unopt median, p < 0.05", ok,
+           f"opt {opt.median!r}, unopt {unopt.median!r}, p {p:.3g}")
 
 
 def test_11_acc_identities():
