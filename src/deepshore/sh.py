@@ -217,13 +217,11 @@ def one_blas_thread():
     """Run the block on one BLAS thread, then restore the caller's count.
 
     OpenBLAS may split a product over threads in an order that changes
-    its last bits, so the solves pin their matrix products to one thread:
-    the results then do not depend on the thread count. One-off fits pin
-    their whole solve (see `shore.fit_shore_many`); the scale search's
-    Cholesky solves run at the process's count, and the search then
-    calls `_stop_blas_workers`. The pin nests and covers every loaded
-    build, which in a command is numpy's alone: it serves the products
-    and the solves.
+    its last bits, so every SHORE/SH solve (`_solve_regularized`) and
+    the scale search's QR and products run on one thread: the results
+    then do not depend on the thread count. The pin nests and covers
+    every loaded build, which in a command is numpy's alone: it serves
+    the products and the solves.
     The setting is the library's, not the calling thread's, so concurrent
     callers would share it. Without a loaded OpenBLAS this does nothing.
     """
@@ -236,18 +234,6 @@ def one_blas_thread():
             lib.openblas_set_num_threads_local(count)
 
 
-def _stop_blas_workers():
-    """Stop the worker threads of the loaded OpenBLAS builds.
-
-    After a call on several threads the workers spin for about 0.1 s
-    waiting for more work, and meanwhile slow the products that follow.
-    OpenBLAS starts them again at its next call on several threads.
-    """
-    for lib in _openblas_builds():
-        if hasattr(lib, "blas_thread_shutdown_"):
-            lib.blas_thread_shutdown_()
-
-
 def _solve_regularized(design, penalty_diag, rhs):
     """Solve (X'X + s * diag(penalty)) c = X' rhs for one or many rhs columns.
 
@@ -258,26 +244,22 @@ def _solve_regularized(design, penalty_diag, rhs):
     Without a penalty the normal equations must be well conditioned
     (condition number at most CONDITION_LIMIT).
 
-    The products X'X and X' rhs run on one BLAS thread, because their
-    bits depend on the thread count. The Cholesky factor and the
-    triangular solves (`_cholesky_solve`, on the same numpy OpenBLAS
-    build as the products) run at the caller's count: they split the rhs
-    columns over threads and run every column through the same kernel,
-    so their bits do not depend on it.
+    The whole solve, products and Cholesky solve, runs on one BLAS
+    thread, so its bits do not depend on the thread count.
     """
     with one_blas_thread():
         normal = design.T @ design
         xty = design.T @ rhs
-    if penalty_diag is None:
-        cond = np.linalg.cond(normal)
-        if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-            raise SingularSystemError(
-                f"normal equations condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
-                "add regularization or more samples"
-            )
-    else:
-        normal = normal + float(np.mean(np.diag(normal))) * np.diag(penalty_diag)
-    return _cholesky_solve(normal, xty)
+        if penalty_diag is None:
+            cond = np.linalg.cond(normal)
+            if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+                raise SingularSystemError(
+                    f"normal equations condition {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
+                    "add regularization or more samples"
+                )
+        else:
+            normal = normal + float(np.mean(np.diag(normal))) * np.diag(penalty_diag)
+        return _cholesky_solve(normal, xty)
 
 
 @functools.cache
@@ -351,16 +333,12 @@ def _check_finite_rows(values, what):
 
 
 def fit_sh_many(values, dirs, max_degree):
-    """Fit one series per row of `values`; returns the coefficient matrix.
-
-    The whole solve runs on one BLAS thread, as in `shore.fit_shore_many`.
-    """
+    """Fit one series per row of `values`; returns the coefficient matrix."""
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(dirs):
         raise InvalidArgumentError("values must have shape (n_series, n_directions)")
     _check_finite_rows(values, "values")
-    with one_blas_thread():
-        return _solve_regularized(eval_sh_basis(dirs, max_degree), None, values.T).T
+    return _solve_regularized(eval_sh_basis(dirs, max_degree), None, values.T).T
 
 
 def acc(u, v, max_degree=None):

@@ -202,19 +202,13 @@ def _penalty_diag(cfg):
 
 
 def fit_shore_many(signals, samples, cfg, zeta):
-    """Fit one series per row of `signals`; returns the coefficient matrix.
-
-    The whole solve runs on one BLAS thread. After a solve at full width,
-    OpenBLAS's workers spin for about 0.1 s and slow the products that
-    follow, such as training's right after a fit in `crossval`.
-    """
+    """Fit one series per row of `signals`; returns the coefficient matrix."""
     signals = np.asarray(signals, dtype=float)
     if signals.ndim != 2 or signals.shape[1] != len(samples):
         raise InvalidArgumentError("signals must have shape (n_voxels, n_samples)")
     _check_finite_rows(signals, "signal")
     design = shore_design_matrix(samples, cfg.radial_order, zeta)
-    with sh.one_blas_thread():
-        return _solve_regularized(design, _penalty_diag(cfg), signals.T).T
+    return _solve_regularized(design, _penalty_diag(cfg), signals.T).T
 
 
 def default_zeta0(samples):
@@ -225,29 +219,42 @@ def default_zeta0(samples):
     return start
 
 
-def _mean_refit_residual(signals, design, penalty, signals_t=None):
-    """Mean squared residual of refitting every row of `signals` on `design`.
+def _signal_factor(signals):
+    """The triangular factor R of the signals' QR factorization, of shape
+    (min(n_voxels, n_samples), n_samples), computed on one BLAS thread.
 
-    `signals_t`, when given, is ``np.ascontiguousarray(signals.T)``, so a
-    caller evaluating many designs transposes the signals once. The
-    products run on one BLAS thread and the triangular solves at the
-    caller's count, so the residual does not depend on the thread count.
+    RᵀR equals SᵀS, so refitting R's rows leaves the same sum of squared
+    residuals as refitting the signals' (`_mean_refit_residual`).
     """
-    if signals_t is None:
-        signals_t = np.ascontiguousarray(signals.T)
-    coeffs = _solve_regularized(design, penalty, signals.T)
     with sh.one_blas_thread():
-        residual = design @ coeffs
-    residual -= signals_t
+        return np.linalg.qr(signals, mode="r")
+
+
+def _mean_refit_residual(factor, design, penalty, count):
+    """Mean squared residual of refitting, on `design`, the `count` signal
+    values whose `_signal_factor` is `factor`.
+
+    For any fit linear in the signals, ‖(H − I)Sᵀ‖ = ‖(H − I)Rᵀ‖ with H
+    the regularized hat matrix, so the squared residual sums over R's few
+    rows in place of the signals' many.
+    """
+    with sh.one_blas_thread():
+        residual = design @ _solve_regularized(design, penalty, factor.T)
+    residual -= factor.T
     residual *= residual
-    return float(np.mean(residual))
+    return float(np.sum(residual) / count)
 
 
 def optimize_zeta(signals, samples, cfg, zeta0):
     """Data-optimized scale: minimize the mean squared refit residual.
 
     Every objective evaluation refits all coefficients at the candidate
-    scale. A small deterministic probe grid around `zeta0` (out to 1.5
+    scale. It refits the rows of the signals' triangular QR factor R
+    (`_signal_factor`), at most n_samples of them, in place of the
+    signals: the mean residual is the same in exact arithmetic and
+    within 1e-10 relative in floating point. Every product, QR and solve
+    runs on one BLAS thread, so the scale does not depend on the thread
+    count. A small deterministic probe grid around `zeta0` (out to 1.5
     e-folds either way) picks the starting point, then the search runs
     over log(zeta) with a quasi-Newton (secant curvature) update,
     central-difference gradients of step 1e-4 in log zeta, and a
@@ -257,6 +264,8 @@ def optimize_zeta(signals, samples, cfg, zeta0):
     update and are reused as the next iteration's, so no scale is
     evaluated twice. The local phase stops when the log-scale step
     drops below 1e-6 or after 100 iterations. Every voxel takes part.
+    A solver refusal ends the search with OptimizationFailureError,
+    whose message names the refusal.
 
     The step that stops the search on the 1e-6 tolerance builds no
     gradient at its point, which nothing would use. So a non-finite
@@ -282,21 +291,22 @@ def optimize_zeta(signals, samples, cfg, zeta0):
     if not zeta0 > 0 or not np.isfinite(zeta0):
         raise InvalidArgumentError(f"zeta0 must be positive and finite, got {zeta0}")
 
-    signals_t = np.ascontiguousarray(signals.T)
+    factor = _signal_factor(signals)
     penalty = _penalty_diag(cfg)
     last_valid = [None, None]
 
     def objective(log_zeta):
+        cause = ""
         try:
             design = shore_design_matrix(samples, cfg.radial_order, float(np.exp(log_zeta)))
-            value = _mean_refit_residual(signals, design, penalty, signals_t)
-        except (SingularSystemError, ValueError, np.linalg.LinAlgError):
+            value = _mean_refit_residual(factor, design, penalty, signals.size)
+        except (SingularSystemError, ValueError, np.linalg.LinAlgError) as exc:
             # solver refusals and a non-finite design or data count as
             # a non-finite objective
-            value = np.inf
+            value, cause = np.inf, f": {exc}"
         if not np.isfinite(value):
             raise OptimizationFailureError(
-                f"objective not finite at zeta={np.exp(log_zeta):.6g}",
+                f"objective not finite at zeta={np.exp(log_zeta):.6g}{cause}",
                 zeta=last_valid[0], objective=last_valid[1],
             )
         last_valid[0], last_valid[1] = float(np.exp(log_zeta)), value
@@ -358,8 +368,5 @@ def optimize_zeta(signals, samples, cfg, zeta0):
             curvature = y / s
         t, f = t_new, f_new
 
-    # the solves ran at the process's thread count; their idle workers
-    # would spin into the caller's next products, such as training's
-    sh._stop_blas_workers()
     return float(np.exp(best_t))
 

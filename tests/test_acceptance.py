@@ -106,12 +106,14 @@ def test_06_zeta_optimization(scheme):
     signals = np.exp(-np.outer(1.0 / (2.0 * rng.uniform(500, 2500, 6)), scheme.q**2))
     zeta0 = default_zeta0(scheme)
     found = shore.optimize_zeta(signals, scheme, cfg6, zeta0)
-    from deepshore.shore import _mean_refit_residual, _penalty_diag
+    from deepshore.shore import _mean_refit_residual, _penalty_diag, _signal_factor
 
     pen = _penalty_diag(cfg6)
+    factor = _signal_factor(signals)
 
     def objective(z):
-        return _mean_refit_residual(signals, shore_design_matrix(scheme, 6, z), pen)
+        design = shore_design_matrix(scheme, 6, z)
+        return _mean_refit_residual(factor, design, pen, signals.size)
 
     ok_monotone = objective(found) <= objective(zeta0) + 1e-12
     report(6, "zeta recovery within 5% and monotone objective",

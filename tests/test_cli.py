@@ -141,6 +141,14 @@ class TestOptimizeZetaCommand:
         assert doc["zeta"] == pytest.approx(zeta)
         assert "created_at" in doc
 
+    def test_solver_refusal_names_its_cause(self, tmp_path, capsys):
+        data = make_phantom(tmp_path, voxels=4, rotations=5)
+        code = run_cli(["optimize-zeta", "--in", str(data), "--lambda-n", "0",
+                        "--lambda-l", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "objective not finite" in err and "normal equations condition" in err
+
 
 class TestTrainPredictEvaluate:
     @pytest.fixture()

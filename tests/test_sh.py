@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -200,11 +198,11 @@ class TestOneBlasThread:
             for lib, count in zip(builds, saved):
                 lib.openblas_set_num_threads_local(count)
 
-    def test_only_the_products_are_pinned_in_the_scale_search(self, monkeypatch):
-        """At each product and each ``_cholesky_solve`` call, record every loaded
-        build's thread count: the products run on one thread, the solves
-        of a scale-search objective at the caller's count and those of a
-        one-off fit on one thread."""
+    def test_every_product_and_solve_runs_on_one_thread(self, monkeypatch):
+        """At each product, the search's QR and each ``_cholesky_solve`` call,
+        record every loaded build's thread count: in a scale search and in
+        one-off SHORE and SH fits all run on one thread, and the caller's
+        count is back afterwards."""
         builds = sh._openblas_builds()
         if not builds:
             pytest.skip("no OpenBLAS loaded")
@@ -215,16 +213,16 @@ class TestOneBlasThread:
                 log.append(("product", [_blas_threads(lib) for lib in builds]))
                 return np.matmul(np.asarray(self), np.asarray(other))
 
-        def recording(function):
-            return lambda *args: function(*args).view(Recording)
+        def recording(function, kind=None):
+            def call(*args, **kwargs):
+                if kind:
+                    log.append((kind, [_blas_threads(lib) for lib in builds]))
+                    return function(*args, **kwargs)
+                return function(*args, **kwargs).view(Recording)
+            return call
 
-        real_solve = sh._cholesky_solve
-
-        def solve(*args):
-            log.append(("solve", [_blas_threads(lib) for lib in builds]))
-            return real_solve(*args)
-
-        monkeypatch.setattr(sh, "_cholesky_solve", solve)
+        monkeypatch.setattr(sh, "_cholesky_solve", recording(sh._cholesky_solve, "solve"))
+        monkeypatch.setattr(np.linalg, "qr", recording(np.linalg.qr, "qr"))
         monkeypatch.setattr(shore, "shore_design_matrix", recording(shore.shore_design_matrix))
         monkeypatch.setattr(sh, "eval_sh_basis", recording(sh.eval_sh_basis))
         dirs = generate_uniform_directions(30, seed=1, iterations=50)
@@ -234,9 +232,10 @@ class TestOneBlasThread:
         one, caller = [1] * len(builds), [2] * len(builds)
         saved = [lib.openblas_set_num_threads_local(2) for lib in builds]
         try:
-            design = shore.shore_design_matrix(samples, cfg.radial_order, 700.0)
-            shore._mean_refit_residual(signals, design, shore._penalty_diag(cfg))
-            assert log == [("product", one)] * 2 + [("solve", caller), ("product", one)]
+            shore.optimize_zeta(signals, samples, cfg, 700.0)
+            assert log[0] == ("qr", one)
+            assert {kind for kind, _ in log} == {"qr", "product", "solve"}
+            assert all(threads == one for _, threads in log)
             log.clear()
             shore.fit_shore_many(signals, samples, cfg, 700.0)
             assert log == [("product", one)] * 2 + [("solve", one)]
@@ -244,24 +243,6 @@ class TestOneBlasThread:
             fit_sh_many(signals[:, :30], dirs, 4)
             assert log == [("product", one)] * 2 + [("solve", one)]
             assert [_blas_threads(lib) for lib in builds] == caller
-        finally:
-            for lib, count in zip(builds, saved):
-                lib.openblas_set_num_threads_local(count)
-
-    def test_scale_search_stops_the_blas_workers(self):
-        """No OpenBLAS worker is left after the search to spin into the
-        caller's next products."""
-        builds = sh._openblas_builds()
-        if not builds or not os.path.isdir("/proc/self/task"):
-            pytest.skip("needs OpenBLAS and /proc/self/task")
-        samples = _three_shells(generate_uniform_directions(30, seed=1, iterations=50))
-        signals = np.exp(-samples.bvalues / 2000.0) * np.ones((2000, 1))
-        saved = [lib.openblas_set_num_threads_local(2) for lib in builds]
-        try:
-            sh._solve_regularized(np.eye(90, 50), None, np.ones((90, 2000)))
-            running = len(os.listdir("/proc/self/task"))
-            shore.optimize_zeta(signals, samples, shore.ShoreFitConfig(), 700.0)
-            assert len(os.listdir("/proc/self/task")) < running
         finally:
             for lib, count in zip(builds, saved):
                 lib.openblas_set_num_threads_local(count)

@@ -17,6 +17,7 @@ from deepshore import (
     shore_design_matrix,
 )
 from deepshore import phantom, sh, shore
+from deepshore.nonneg import clamp_log
 from deepshore.pipeline import (
     PipelineConfig,
     _predicted_fod_sh,
@@ -237,17 +238,14 @@ class TestOptimizeZeta:
             assert abs(found - zeta_true) / zeta_true < 0.05
 
     def test_objective_never_increases(self, four_shell_scheme, noiseless_voxels):
-        from deepshore.shore import _mean_refit_residual, _penalty_diag
-
         cfg = ShoreFitConfig()
         zeta0 = default_zeta0(four_shell_scheme)
         found = optimize_zeta(noiseless_voxels.signals, four_shell_scheme, cfg, zeta0)
-        pen = _penalty_diag(cfg)
+        pen = shore._penalty_diag(cfg)
 
         def objective(z):
-            return _mean_refit_residual(
-                noiseless_voxels.signals, shore_design_matrix(four_shell_scheme, 6, z), pen
-            )
+            design = shore_design_matrix(four_shell_scheme, 6, z)
+            return _factored_residual(noiseless_voxels.signals, design, pen)
 
         assert objective(found) <= objective(zeta0) + 1e-12
 
@@ -330,25 +328,34 @@ def test_scale_search_and_fit_do_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def _ref_optimize_zeta(signals, samples, cfg, zeta0, max_iterations=100,
+def _explicit_residual(signals, design, penalty):
+    """Mean squared residual of refitting every signal row on `design`."""
+    coeffs = sh._solve_regularized(design, penalty, signals.T)
+    return float(np.mean((design @ coeffs - signals.T) ** 2))
+
+
+def _factored_residual(signals, design, penalty):
+    """The search's objective: the same residual, refit over the signals' QR
+    factor."""
+    factor = shore._signal_factor(signals)
+    return shore._mean_refit_residual(factor, design, penalty, signals.size)
+
+
+def _ref_optimize_zeta(signals, samples, cfg, zeta0, residual, max_iterations=100,
                        gradient_step=1e-4, tolerance=1e-6, probe_spread=1.5):
-    """The line search that recomputes the gradient at every accepted point.
+    """The line search that recomputes the gradient at every accepted point,
+    minimizing ``residual(signals, design, penalty)``.
 
     Returns the scale, the number of objective evaluations, the number of
     accepted steps and why the search stopped.
     """
-    from deepshore.sh import _solve_regularized
-    from deepshore.shore import _penalty_diag
-
-    penalty = _penalty_diag(cfg)
+    penalty = shore._penalty_diag(cfg)
     evals = [0]
 
     def objective(log_zeta):
         evals[0] += 1
         design = shore_design_matrix(samples, cfg.radial_order, float(np.exp(log_zeta)))
-        coeffs = _solve_regularized(design, penalty, signals.T)
-        residual = design @ coeffs - signals.T
-        return float(np.mean(residual**2))
+        return residual(signals, design, penalty)
 
     t = float(np.log(zeta0))
     f = objective(t)
@@ -411,6 +418,13 @@ def noisy_signals(noiseless_voxels):
     return phantom._rician(noiseless_voxels.signals[None], 30.0, [4])[0]
 
 
+@pytest.fixture(scope="module")
+def many_noisy_signals(noiseless_voxels):
+    """200 noisy rows, more than the 100 samples."""
+    blocks = np.tile(noiseless_voxels.signals[None], (10, 1, 1))
+    return phantom._rician(blocks, 30.0, range(10)).reshape(200, -1)
+
+
 class TestOptimizeZetaBitExact:
     @pytest.mark.parametrize("noisy", [False, True])
     def test_matches_reference_loop(self, noisy, four_shell_scheme, noiseless_voxels,
@@ -418,28 +432,38 @@ class TestOptimizeZetaBitExact:
         signals = noisy_signals if noisy else noiseless_voxels.signals
         cfg = ShoreFitConfig()
         zeta0 = default_zeta0(four_shell_scheme)
-        expected, *_ = _ref_optimize_zeta(signals, four_shell_scheme, cfg, zeta0)
         found = optimize_zeta(signals, four_shell_scheme, cfg, zeta0)
+        expected, *_ = _ref_optimize_zeta(signals, four_shell_scheme, cfg, zeta0,
+                                          _factored_residual)
         assert found.hex() == expected.hex()
+        explicit, *_ = _ref_optimize_zeta(signals, four_shell_scheme, cfg, zeta0,
+                                          _explicit_residual)
+        assert abs(found - explicit) <= 1e-6 * explicit
 
-    def test_refit_residual_matches_reference(self, four_shell_scheme, noisy_signals):
-        from deepshore.shore import _mean_refit_residual, _penalty_diag
-        from deepshore.sh import _solve_regularized
-
-        pen = _penalty_diag(ShoreFitConfig())
-        design = shore_design_matrix(four_shell_scheme, 6, 900.0)
-        coeffs = _solve_regularized(design, pen, noisy_signals.T)
-        expected = float(np.mean((design @ coeffs - noisy_signals.T) ** 2))
-        signals_t = np.ascontiguousarray(noisy_signals.T)
-        assert _mean_refit_residual(noisy_signals, design, pen).hex() == expected.hex()
-        assert _mean_refit_residual(noisy_signals, design, pen, signals_t).hex() == expected.hex()
+    def test_refit_residual_matches_reference(self, four_shell_scheme, noiseless_voxels,
+                                              many_noisy_signals):
+        """The residual over the QR factor equals the residual over the
+        signals, linear or clamp-logged, whether R has fewer rows than
+        there are samples or is square, and for noiseless rows repeated
+        ten times, where R is rank-deficient."""
+        pen = shore._penalty_diag(ShoreFitConfig())
+        designs = [shore_design_matrix(four_shell_scheme, 6, zeta)
+                   for zeta in np.geomspace(300.0, 20000.0, 12)]
+        noiseless = np.tile(noiseless_voxels.signals, (10, 1))
+        for signals in (noiseless, many_noisy_signals):
+            for rows in (1, 3, 20, 200):
+                for values in (signals[:rows], clamp_log(signals[:rows])):
+                    for design in designs:
+                        expected = _explicit_residual(values, design, pen)
+                        found = _factored_residual(values, design, pen)
+                        assert abs(found - expected) <= 1e-10 * expected
 
     def test_no_scale_is_evaluated_twice(self, monkeypatch, four_shell_scheme,
                                          noisy_signals):
         cfg = ShoreFitConfig()
         zeta0 = default_zeta0(four_shell_scheme)
         _, reference_evals, _, _ = _ref_optimize_zeta(noisy_signals, four_shell_scheme,
-                                                      cfg, zeta0)
+                                                      cfg, zeta0, _factored_residual)
         scales = _built_scales(monkeypatch, noisy_signals, four_shell_scheme, cfg, zeta0)
         assert len(set(scales)) == len(scales)
         assert len(scales) < reference_evals
@@ -449,7 +473,7 @@ class TestOptimizeZetaBitExact:
         cfg = ShoreFitConfig()
         zeta0 = default_zeta0(four_shell_scheme)
         _, reference_evals, steps, reason = _ref_optimize_zeta(
-            noisy_signals, four_shell_scheme, cfg, zeta0)
+            noisy_signals, four_shell_scheme, cfg, zeta0, _factored_residual)
         assert reason == "tolerance" and steps > 1
         scales = _built_scales(monkeypatch, noisy_signals, four_shell_scheme, cfg, zeta0)
         # the reference builds a gradient pair at every accepted point twice;
