@@ -34,7 +34,6 @@ from .nonneg import NonNegConfig, clamp_log, exp_restore
 from .phantom import (
     PhantomConfig,
     PhantomDataset,
-    TensorCompartment,
     generate_dataset,
 )
 from .pipeline import (
@@ -45,7 +44,6 @@ from .pipeline import (
     run_subcase_experiment,
 )
 from .sh import (
-    ShSeries,
     acc,
     eval_sh_basis,
     sh_coeff_count,

@@ -17,17 +17,14 @@ config file can pre-set any flag; explicit flags win over the file.
 One file may serve every command, so a key of another command's flag is
 ignored, but a key that no command takes is a usage error.
 The outputs of the scale (zeta) search and of the SHORE and SH fits do
-not depend on the BLAS thread count: their matrix products run on one
-thread, because a product split over threads can round differently,
-while the search's Cholesky solves, which give the same bits at any
-count, run at the process's. Both run in numpy's OpenBLAS build, and
-only `phantom` imports scipy, for the Watson normalization. A solve at
-full width leaves OpenBLAS's workers spinning for about 0.1 s, which
-slows the network's products that follow, so one-off fits run whole on
-one thread and the search stops the workers when it ends. The BLAS
-library's own environment variables, such as OPENBLAS_NUM_THREADS or
-OMP_NUM_THREADS, set before the process starts, govern the rest: the
-search's solves, the network's training and forward passes and the
+not depend on the BLAS thread count: every SHORE and SH solve, its
+products and its Cholesky solve, and the search's QR factorization of
+the signals and its products run on one BLAS thread, because a product
+split over threads can round differently. They run in numpy's OpenBLAS
+build, and only `phantom` imports scipy, for the Watson normalization.
+The BLAS library's own environment variables, such as
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before the process starts,
+govern the rest: the network's training and forward passes and the
 phantom generator.
 """
 

@@ -10,8 +10,9 @@ with sorted keys so identical content produces identical bytes.
 """
 
 import json
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,6 +70,14 @@ def _integral(value):
     return int(value)
 
 
+def _size(value):
+    """`value` as a dimension: an integral number >= 0."""
+    size = _integral(value)
+    if size < 0:
+        raise ValueError(f"expected a dimension >= 0, got {size}")
+    return size
+
+
 def _field(mapping, key, path, where, cast):
     """`cast(mapping[key])`; a missing or malformed value is a
     ContainerFormatError naming the file and the key."""
@@ -112,19 +121,19 @@ def read_container(path):
     offset = 0
     for index, entry in enumerate(entries):
         name = _field(entry, "name", path, f"segment {index}", str)
-        shape = _field(entry, "shape", path, f"segment {index}", lambda v: tuple(map(_integral, v)))
-        nbytes = int(np.prod(shape, dtype=np.int64)) * 4
+        shape = _field(entry, "shape", path, f"segment {index}", lambda v: tuple(map(_size, v)))
+        nbytes = math.prod(shape) * 4
         chunk = payload[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise ContainerFormatError(
-                f"segment {name!r} declares {nbytes} bytes, "
+                f"{path}: segment {name!r} declares {nbytes} bytes, "
                 f"only {len(chunk)} available"
             )
         segments[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape)
         offset += nbytes
     if offset != len(payload):
         raise ContainerFormatError(
-            f"payload has {len(payload) - offset} undeclared trailing bytes"
+            f"{path}: payload has {len(payload) - offset} undeclared trailing bytes"
         )
     return Container(kind=kind, metadata=metadata, segments=segments)
 
@@ -148,21 +157,10 @@ def write_dataset(path, dataset):
         "n_blocks": int(np.unique(dataset.block_ids).size),
     }
     if dataset.config is not None:
-        cfg = dataset.config
-        meta["phantom_config"] = {
-            "shell_bvalues": list(cfg.shell_bvalues),
-            "directions_per_shell": cfg.directions_per_shell,
-            "crossing_angle_range": list(cfg.crossing_angle_range),
-            "fraction_range": list(cfg.fraction_range),
-            "kappa_watson": cfg.kappa_watson,
-            "snr": "inf" if np.isinf(cfg.snr) else cfg.snr,
-            "n_voxels": cfg.n_voxels,
-            "rotations_per_voxel": cfg.rotations_per_voxel,
-            "max_fibers": cfg.max_fibers,
-            "sh_order": cfg.sh_order,
-            "seed": cfg.seed,
-            "eigenvalues": list(cfg.eigenvalues),
-        }
+        config = asdict(dataset.config)
+        if np.isinf(config["snr"]):
+            config["snr"] = "inf"
+        meta["phantom_config"] = config
     segments = [
         ("signals", dataset.signals),
         ("bvalues", dataset.samples.bvalues),

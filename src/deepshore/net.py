@@ -53,6 +53,8 @@ class TrainConfig:
             raise InvalidArgumentError("epochs must be >= 1")
         if self.k_folds < 2:
             raise InvalidArgumentError("k_folds must be >= 2")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         for name in ("learning_rate", "stabilizer"):
             value = getattr(self, name)
             if not 0 < value < np.inf:

@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .sh import ShSeries, eval_sh_basis, sh_coeff_count
+from .sh import _check_finite_rows, eval_sh_basis, sh_coeff_count
 from .shore import QSpaceSamples
 from .sphere import (
     DirectionSet,
-    SphereQuadrature,
     _haar_matrices,
     _unit,
     gauss_sphere_quadrature,
@@ -33,6 +32,14 @@ _FRACTION_TOL = 1e-9
 # 2.6 MB temporaries of a whole 101-row block went back to the system and
 # were page-faulted in again on every block
 _FOD_ROWS = 8
+# every compartment's (axial, radial, radial) diffusivities in mm^2/s,
+# ex-vivo-scaled white matter: the shell defaults span the ex-vivo range,
+# where tissue diffusivity is roughly a third of in-vivo
+EIGENVALUES = (0.57e-3, 0.1e-3, 0.1e-3)
+# range of the angle in degrees between the first fiber and each other one
+CROSSING_ANGLE_RANGE = (30.0, 90.0)
+# range of the raw fraction draws, which are then normalized to sum to 1
+FRACTION_RANGE = (0.3, 1.0)
 
 
 def _cross(a, b):
@@ -63,37 +70,9 @@ def _rotate(matrices, axes):
 
 
 @dataclass(frozen=True)
-class TensorCompartment:
-    """One Gaussian diffusion compartment.
-
-    eigenvalues are (axial, radial, radial) in mm^2/s with the principal
-    axis along `orientation`.
-    """
-
-    eigenvalues: tuple
-    orientation: tuple
-    fraction: float
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        if ev.shape != (3,) or np.any(ev <= 0):
-            raise InvalidArgumentError("eigenvalues must be three positive reals")
-        if not 0 < self.fraction <= 1:
-            raise InvalidArgumentError("fraction must lie in (0, 1]")
-        axis = np.asarray(self.orientation, dtype=float)
-        if axis.shape != (3,) or np.linalg.norm(axis) == 0:
-            raise InvalidArgumentError("orientation must be a non-zero 3-vector")
-
-    def axis(self):
-        return _unit(np.asarray(self.orientation, dtype=float))
-
-
-@dataclass(frozen=True)
 class PhantomConfig:
     shell_bvalues: tuple = (3000.0, 6000.0, 9000.0, 12000.0)
     directions_per_shell: int = 25
-    crossing_angle_range: tuple = (30.0, 90.0)  # degrees
-    fraction_range: tuple = (0.3, 1.0)
     kappa_watson: float = 20.0
     snr: float = 30.0  # math.inf for noiseless data
     n_voxels: int = 10
@@ -101,9 +80,6 @@ class PhantomConfig:
     max_fibers: int = 3
     sh_order: int = 8
     seed: int = 0
-    # ex-vivo-scaled white matter diffusivities: the shell defaults span the
-    # ex-vivo range, where tissue diffusivity is roughly a third of in-vivo
-    eigenvalues: tuple = (0.57e-3, 0.1e-3, 0.1e-3)
 
     def __post_init__(self):
         if len(self.shell_bvalues) == 0:
@@ -114,19 +90,13 @@ class PhantomConfig:
             raise InvalidArgumentError(
                 f"rotations_per_voxel must be >= 0, got {self.rotations_per_voxel}"
             )
-        if self.kappa_watson <= 0 or self.snr <= 0:
-            raise InvalidArgumentError("kappa_watson and snr must be positive")
+        if not (self.kappa_watson > 0 and self.snr > 0):
+            raise InvalidArgumentError(
+                f"kappa_watson and snr must be positive, got {self.kappa_watson} and {self.snr}")
         if not 1 <= self.max_fibers <= 3:
             raise InvalidArgumentError("max_fibers must be 1..3")
-
-
-def _stack(compartments):
-    """Unit axes (C, 3), eigenvalues (C, 3) and fractions (C,) of C compartments."""
-    return (
-        np.array([c.axis() for c in compartments]),
-        np.array([c.eigenvalues for c in compartments], dtype=float),
-        np.array([c.fraction for c in compartments], dtype=float),
-    )
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
 
 
 def _signals(axes, eigenvalues, fractions, samples):
@@ -177,19 +147,13 @@ class FodProjector:
     zero."""
 
     def __init__(self, quad, max_degree):
-        if not isinstance(quad, SphereQuadrature):
-            raise InvalidArgumentError("quad must be a SphereQuadrature")
         self.quad = quad
-        self.max_degree = max_degree
         self._weighted_basis = eval_sh_basis(quad.nodes, max_degree).T * quad.weights
 
-    def project(self, compartments, kappa):
-        axes, _, fractions = _stack(compartments)
-        return ShSeries(self.max_degree, self._project_rows(axes[None], fractions, kappa)[0])
-
-    def _project_rows(self, axes, fractions, kappa):
-        """Coefficients (rows, coeffs) of `project` for rows of compartments
-        that differ only in their axes (rows, C, 3)."""
+    def project(self, axes, fractions, kappa):
+        """Coefficients (rows, coeffs) of the Watson mixtures of rows of
+        compartments that differ only in their unit axes (rows, C, 3); the
+        fractions (C,) and the concentration `kappa` are shared."""
         nodes = self.quad.nodes.vectors
         coeffs = np.empty((len(axes), len(self._weighted_basis)))
         for start in range(0, len(axes), _FOD_ROWS):
@@ -250,11 +214,13 @@ class PhantomDataset:
 
 
 def _draw_compartments(rng, cfg):
+    """Unit axes (C, 3), eigenvalues (C, 3) and fractions (C,) of one to
+    cfg.max_fibers compartments drawn from `rng`."""
     n_fibers = int(rng.integers(1, cfg.max_fibers + 1))
     first = rng.standard_normal(3)
     first /= np.linalg.norm(first)
     axes = [first]
-    lo, hi = np.deg2rad(cfg.crossing_angle_range[0]), np.deg2rad(cfg.crossing_angle_range[1])
+    lo, hi = np.deg2rad(CROSSING_ANGLE_RANGE[0]), np.deg2rad(CROSSING_ANGLE_RANGE[1])
     for _ in range(n_fibers - 1):
         angle = rng.uniform(lo, hi)
         azimuth = rng.uniform(0.0, 2.0 * np.pi)
@@ -267,14 +233,11 @@ def _draw_compartments(rng, cfg):
             + np.sin(angle) * (np.cos(azimuth) * u + np.sin(azimuth) * v)
         )
         axes.append(tilted / np.linalg.norm(tilted))
-    raw = rng.uniform(cfg.fraction_range[0], cfg.fraction_range[1], size=n_fibers)
+    raw = rng.uniform(FRACTION_RANGE[0], FRACTION_RANGE[1], size=n_fibers)
     fractions = raw / raw.sum()
     # nudge the rounding remainder into the first fraction so the sum is exact
     fractions[0] += 1.0 - fractions.sum()
-    return [
-        TensorCompartment(tuple(cfg.eigenvalues), tuple(axis), float(frac))
-        for axis, frac in zip(axes, fractions)
-    ]
+    return _unit(np.array(axes)), np.tile(EIGENVALUES, (n_fibers, 1)), fractions
 
 
 def generate_dataset(cfg):
@@ -308,15 +271,18 @@ def generate_dataset(cfg):
 
     for voxel, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        compartments = _draw_compartments(rng, cfg)
+        source, eigenvalues, fractions = _draw_compartments(rng, cfg)
         rotations = _haar_matrices(rng, cfg.rotations_per_voxel)
         noise_seeds = rng.integers(0, 2**63 - 1, size=rows_per_block).tolist()
-        source, eigenvalues, fractions = _stack(compartments)
         # row axes (rows, C, 3): the source's, then each rotated copy's
         axes = np.concatenate([source[None], _unit(_rotate(rotations[:, None], source))])
         block = slice(voxel * rows_per_block, (voxel + 1) * rows_per_block)
         clean = _signals(axes, eigenvalues, fractions, samples)
         signals[block] = _rician(clean, cfg.snr, noise_seeds)
-        fods[block] = projector._project_rows(axes, fractions, cfg.kappa_watson)
+        # a kappa too large for the Watson normalization is reported below,
+        # once, in place of numpy's overflow warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            fods[block] = projector.project(axes, fractions, cfg.kappa_watson)
+    _check_finite_rows(fods, f"FOD at kappa_watson={cfg.kappa_watson:g}")
     block_ids = np.repeat(np.arange(cfg.n_voxels), rows_per_block)
     return PhantomDataset(signals, samples, fods, cfg.sh_order, block_ids, cfg)

@@ -63,6 +63,13 @@ class PipelineConfig:
             raise InvalidArgumentError("eval_folds must be >= 2")
         if self.max_folds is not None and self.max_folds < 1:
             raise InvalidArgumentError(f"max_folds must be >= 1, got {self.max_folds}")
+        if self.direction_seed < 0:
+            raise InvalidArgumentError(f"direction_seed must be >= 0, got {self.direction_seed}")
+        # at b = 0 every SHORE column of degree >= 2 vanishes: the targets
+        # would hold no angular content
+        if not 0 < self.fod_bvalue < np.inf:
+            raise InvalidArgumentError(
+                f"fod_bvalue must be positive and finite, got {self.fod_bvalue}")
 
     def to_dict(self):
         out = asdict(self)

@@ -48,25 +48,6 @@ def sh_degree_order_table(max_degree):
     return np.array(degrees), np.array(orders)
 
 
-class ShSeries:
-    """Coefficients of a real, even-degree spherical harmonic expansion."""
-
-    def __init__(self, max_degree, coeffs):
-        _check_even(max_degree, "max_degree")
-        c = np.array(coeffs, dtype=float)
-        expected = sh_coeff_count(max_degree)
-        if c.shape != (expected,):
-            raise InvalidArgumentError(
-                f"expected {expected} coefficients for degree {max_degree}, got shape {c.shape}"
-            )
-        c.flags.writeable = False
-        self.max_degree = max_degree
-        self.coeffs = c
-
-    def __repr__(self):
-        return f"ShSeries(max_degree={self.max_degree})"
-
-
 # Cephes lgam's coefficients: Stirling's series (A) and the rational
 # approximation on [2, 3) (B over C, leading 1 of C included)
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
@@ -341,32 +322,18 @@ def fit_sh_many(values, dirs, max_degree):
     return _solve_regularized(eval_sh_basis(dirs, max_degree), None, values.T).T
 
 
-def acc(u, v, max_degree=None):
-    """Angular correlation coefficient of two expansions, in [-1, 1].
+def acc(pred, truth, max_degree):
+    """Angular correlation coefficient of each row pair of two coefficient
+    matrices, one series of degree `max_degree` per row, in [-1, 1].
 
     Normalized inner product of the coefficients with the isotropic
     (degree-0) term excluded, so adding a constant to either function
-    does not change the result. Both series must carry some anisotropic
-    content or the correlation is undefined.
-
-    `u` and `v` are two ShSeries. With `max_degree` they are instead two
-    coefficient matrices holding one series of that degree per row, and
-    the result holds the correlation of each row pair, bitwise equal to
-    that of the rows taken one at a time as series.
+    does not change the result. Both rows must carry some anisotropic
+    content or the correlation is undefined. The rows are copied
+    C-contiguous, because BLAS can round the dot of a strided row
+    differently.
     """
-    if max_degree is None:
-        if u.max_degree != v.max_degree:
-            raise InvalidArgumentError(
-                f"degree mismatch: {u.max_degree} vs {v.max_degree}"
-            )
-        return float(_row_acc(u.coeffs[None], v.coeffs[None], u.max_degree)[0])
-    return _row_acc(np.asarray(u), np.asarray(v), max_degree)
-
-
-def _row_acc(pred, truth, max_degree):
-    """ACC of each row pair of two coefficient matrices. The rows are
-    copied C-contiguous, because BLAS can round the dot of a strided row
-    differently."""
+    pred, truth = np.asarray(pred), np.asarray(truth)
     if pred.shape != truth.shape or pred.shape[1:] != (sh_coeff_count(max_degree),):
         raise InvalidArgumentError(
             f"coefficient shapes {pred.shape} and {truth.shape} do not fit degree {max_degree}"

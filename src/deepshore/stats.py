@@ -61,12 +61,12 @@ def _normal_two_sided_p(ranks, tie_sizes, w_plus):
     return float(math.erfc(z / math.sqrt(2.0)))
 
 
-def wilcoxon_signed_rank(a, b, method="auto"):
+def wilcoxon_signed_rank(a, b):
     """Two-sided paired Wilcoxon signed-rank test.
 
     Zero differences are dropped before ranking. Small samples (n <= 25)
     use the exact sign-assignment distribution, larger ones the
-    tie-corrected normal approximation; `method` can force either path.
+    tie-corrected normal approximation.
 
     Returns
     -------
@@ -78,8 +78,6 @@ def wilcoxon_signed_rank(a, b, method="auto"):
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise InvalidArgumentError("inputs must be 1-D arrays of equal length")
-    if method not in ("auto", "exact", "normal"):
-        raise InvalidArgumentError(f"unknown method {method!r}")
     differences = a - b
     differences = differences[differences != 0.0]
     n = differences.size
@@ -91,7 +89,7 @@ def wilcoxon_signed_rank(a, b, method="auto"):
         )
     ranks, tie_sizes = _signed_ranks(differences)
     w_plus = float(ranks[differences > 0].sum())
-    if method == "exact" or (method == "auto" and n <= _EXACT_LIMIT):
+    if n <= _EXACT_LIMIT:
         p = _exact_two_sided_p(ranks, w_plus)
     else:
         p = _normal_two_sided_p(ranks, tie_sizes, w_plus)

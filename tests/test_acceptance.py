@@ -199,14 +199,14 @@ def test_10_end_to_end_subcases():
 
 def test_11_acc_identities():
     rng = np.random.default_rng(2)
-    u = sh.ShSeries(8, rng.standard_normal(45))
-    ok = abs(ds.acc(u, u) - 1.0) < 1e-12
-    ok &= abs(ds.acc(u, sh.ShSeries(8, 2.5 * u.coeffs)) - 1.0) < 1e-12
-    ok &= abs(ds.acc(u, sh.ShSeries(8, -u.coeffs)) + 1.0) < 1e-12
+    u = rng.standard_normal((1, 45))
+    ok = abs(ds.acc(u, u, 8)[0] - 1.0) < 1e-12
+    ok &= abs(ds.acc(u, 2.5 * u, 8)[0] - 1.0) < 1e-12
+    ok &= abs(ds.acc(u, -u, 8)[0] + 1.0) < 1e-12
     degrees, _ = sh.sh_degree_order_table(8)
-    pure2 = sh.ShSeries(8, np.where(degrees == 2, 1.0, 0.0))
-    pure4 = sh.ShSeries(8, np.where(degrees == 4, 1.0, 0.0))
-    ok &= abs(ds.acc(pure2, pure4)) < 1e-12
+    pure2 = np.where(degrees == 2, 1.0, 0.0)[None]
+    pure4 = np.where(degrees == 4, 1.0, 0.0)[None]
+    ok &= abs(ds.acc(pure2, pure4, 8)[0]) < 1e-12
     report(11, "ACC identities within 1e-12", bool(ok))
 
 
@@ -242,7 +242,7 @@ def test_12_subcommand_determinism(tmp_path):
 
 
 def test_13_wilcoxon_exact_vs_enumeration():
-    from test_stats import enumerate_two_sided_p
+    from test_stats import enumerate_two_sided_p, normal_two_sided_p
 
     worst_exact = 0.0
     rng = np.random.default_rng(3)
@@ -250,14 +250,14 @@ def test_13_wilcoxon_exact_vs_enumeration():
         n = int(rng.integers(6, 15))
         a = rng.standard_normal(n)
         b = a - rng.standard_normal(n)
-        _, p = stats.wilcoxon_signed_rank(a, b, method="exact")
+        _, p = stats.wilcoxon_signed_rank(a, b)  # n <= 25: the exact p
         worst_exact = max(worst_exact, abs(p - enumerate_two_sided_p(a - b)))
 
     a = np.random.default_rng(7).standard_normal(20)
     b = a - (np.random.default_rng(8).standard_normal(20) * 0.5 + 0.25)
-    _, p20 = stats.wilcoxon_signed_rank(a, b, method="exact")
+    _, p20 = stats.wilcoxon_signed_rank(a, b)
     p20_enum = enumerate_two_sided_p(a - b)
-    _, p20_normal = stats.wilcoxon_signed_rank(a, b, method="normal")
+    p20_normal = normal_two_sided_p(a, b)
     rel = abs(p20_normal - p20_enum) / p20_enum
     ok = worst_exact < 1e-10 and abs(p20 - p20_enum) < 1e-10 and rel < 0.05
     report(13, "Wilcoxon exact = enumeration, normal within 5% at n=20", ok,

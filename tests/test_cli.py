@@ -73,6 +73,42 @@ class TestPhantomCommand:
         assert not out.exists()
 
 
+OUT_OF_RANGE_VALUES = [
+    ("phantom", "--seed", "-1", "-1"),
+    ("train", "--seed", "-1", "-1"),
+    ("crossval", "--seed", "-1", "-1"),
+    ("train", "--dirs-seed", "-1", "-1"),
+    ("crossval", "--dirs-seed", "-1", "-1"),
+    ("train", "--fod-b", "0", "fod_bvalue"),
+    ("crossval", "--fod-b", "-2000", "fod_bvalue"),
+    ("phantom", "--snr", "nan", "nan"),
+    ("phantom", "--kappa", "1e6", "kappa_watson"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, named", OUT_OF_RANGE_VALUES,
+                         ids=[" ".join(case[:3]) for case in OUT_OF_RANGE_VALUES])
+def test_out_of_range_value_is_data_error(tmp_path, capsys, command, flag, value, named):
+    # numpy rejected a negative seed with a raw ValueError; a FOD shell at
+    # b = 0 gave targets without angular content; a NaN SNR and a kappa
+    # that overflows the Watson normalization wrote NaN datasets
+    argv = [command, flag, value]
+    if command == "phantom":
+        argv += ["--voxels", "2", "--rotations", "1", "--out", str(tmp_path / "o.dsc")]
+    else:
+        data = make_phantom(tmp_path)
+        capsys.readouterr()
+        argv += ["--in", str(data), "--epochs", "2", "--report", str(tmp_path / "r.json")]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "o.dsc")]
+        else:
+            argv += ["--eval-folds", "3", "--max-folds", "1"]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "o.dsc").exists() and not (tmp_path / "r.json").exists()
+
+
 class TestFitShoreCommand:
     def test_fit_writes_coeffs(self, tmp_path):
         data = make_phantom(tmp_path)

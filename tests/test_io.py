@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -78,6 +81,18 @@ class TestContainer:
     def test_unknown_kind_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
             write_container(tmp_path / "k.dsc", "mystery", [], {})
+
+    @pytest.mark.parametrize("shape", [[-2, -2], [2**32, 2**32]], ids=str)
+    def test_negative_or_overflowing_dimensions_rejected(self, tmp_path, shape):
+        # [-2, -2] declares 4 floats that the payload holds; 2**32 * 2**32
+        # floats wrap to 0 in 64-bit integers
+        path = tmp_path / "s.dsc"
+        blob = json.dumps({"kind": "coeffs", "dtype": "f32le", "meta": {},
+                           "segments": [{"name": "coeffs", "shape": shape}]}).encode()
+        path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + bytes(16))
+        with pytest.raises(ContainerFormatError) as err:
+            read_container(path)
+        assert str(path) in str(err.value)
 
 
 class TestDatasetRoundTrip:

@@ -4,7 +4,6 @@ import pytest
 from deepshore import (
     InvalidArgumentError,
     OptimizationFailureError,
-    ShSeries,
     SingularSystemError,
     UndefinedCorrelationError,
     acc,
@@ -17,8 +16,14 @@ from deepshore.sh import fit_sh_many, sh_degree_order_table
 
 
 def random_series(max_degree, seed, scale=1.0):
+    """One random coefficient row (1, coeffs) of degree max_degree."""
     rng = np.random.default_rng(seed)
-    return ShSeries(max_degree, scale * rng.standard_normal(sh_coeff_count(max_degree)))
+    return scale * rng.standard_normal((1, sh_coeff_count(max_degree)))
+
+
+def acc1(u, v, max_degree=8):
+    """ACC of two single coefficient rows, as a float."""
+    return float(acc(u, v, max_degree)[0])
 
 
 class TestCoeffCount:
@@ -251,55 +256,54 @@ class TestOneBlasThread:
 class TestAcc:
     def test_self_correlation(self):
         u = random_series(8, seed=1)
-        assert abs(acc(u, u) - 1.0) < 1e-12
+        assert abs(acc1(u, u) - 1.0) < 1e-12
 
     def test_positive_scale_invariance(self):
         u = random_series(8, seed=2)
-        scaled = ShSeries(8, 3.0 * u.coeffs)
-        assert abs(acc(u, scaled) - 1.0) < 1e-12
+        assert abs(acc1(u, 3.0 * u) - 1.0) < 1e-12
 
     def test_negation(self):
         u = random_series(8, seed=3)
-        assert abs(acc(u, ShSeries(8, -u.coeffs)) + 1.0) < 1e-12
+        assert abs(acc1(u, -u) + 1.0) < 1e-12
 
     def test_cross_degree_orthogonality(self):
         degrees, _ = sh_degree_order_table(8)
-        c2 = np.where(degrees == 2, 1.0, 0.0)
-        c4 = np.where(degrees == 4, 1.0, 0.0)
-        assert abs(acc(ShSeries(8, c2), ShSeries(8, c4))) < 1e-12
+        c2 = np.where(degrees == 2, 1.0, 0.0)[None]
+        c4 = np.where(degrees == 4, 1.0, 0.0)[None]
+        assert abs(acc1(c2, c4)) < 1e-12
 
     def test_degree_zero_excluded(self):
         u = random_series(8, seed=4)
         v = random_series(8, seed=5)
-        base = acc(u, v)
-        cu, cv = u.coeffs.copy(), v.coeffs.copy()
-        cu[0] += 17.0
-        cv[0] -= 4.2
-        assert abs(acc(ShSeries(8, cu), ShSeries(8, cv)) - base) < 1e-12
+        base = acc1(u, v)
+        cu, cv = u.copy(), v.copy()
+        cu[0, 0] += 17.0
+        cv[0, 0] -= 4.2
+        assert abs(acc1(cu, cv) - base) < 1e-12
 
     def test_symmetry(self):
         u = random_series(8, seed=6)
         v = random_series(8, seed=7)
-        assert acc(u, v) == pytest.approx(acc(v, u), abs=1e-15)
+        assert acc1(u, v) == pytest.approx(acc1(v, u), abs=1e-15)
 
     def test_isotropic_side_rejected(self):
-        iso = np.zeros(45)
-        iso[0] = 1.0
+        iso = np.zeros((1, 45))
+        iso[0, 0] = 1.0
         with pytest.raises(UndefinedCorrelationError):
-            acc(ShSeries(8, iso), random_series(8, seed=8))
+            acc(iso, random_series(8, seed=8), 8)
 
     def test_degree_mismatch_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            acc(random_series(8, seed=9), random_series(4, seed=9))
+            acc(random_series(8, seed=9), random_series(4, seed=9), 8)
 
 
-def reference_acc(u, v):
-    """ACC of one series pair as computed before `acc` took coefficient
-    matrices: a masked copy of each coefficient vector, one dot and two
+def reference_acc(u, v, max_degree=8):
+    """ACC of one pair of coefficient vectors as computed before `acc` took
+    coefficient matrices: a masked copy of each vector, one dot and two
     norms."""
-    degrees, _ = sh_degree_order_table(u.max_degree)
-    uu = u.coeffs[degrees >= 2]
-    vv = v.coeffs[degrees >= 2]
+    degrees, _ = sh_degree_order_table(max_degree)
+    uu = u[degrees >= 2]
+    vv = v[degrees >= 2]
     nu = np.linalg.norm(uu)
     nv = np.linalg.norm(vv)
     if nu == 0.0 or nv == 0.0:
@@ -317,19 +321,18 @@ class TestAccOfMatrices:
 
     def test_bitwise_equal_to_per_row_acc(self, pairs):
         pred, truth = pairs
-        expected = np.array([reference_acc(ShSeries(8, p), ShSeries(8, t))
-                             for p, t in zip(pred, truth)])
+        expected = np.array([reference_acc(p, t) for p, t in zip(pred, truth)])
         assert acc(pred, truth, 8).tobytes() == expected.tobytes()
         # fit_sh_many returns a transposed (column-major) matrix
         assert acc(np.asfortranarray(pred), truth, 8).tobytes() == expected.tobytes()
-        single = np.array([acc(ShSeries(8, p), ShSeries(8, t)) for p, t in zip(pred, truth)])
+        single = np.array([acc1(p[None], t[None]) for p, t in zip(pred, truth)])
         assert single.tobytes() == expected.tobytes()
 
     def test_row_without_anisotropy_is_named(self, pairs):
         pred, truth = pairs
         truth[7, 1:] = 0.0
         with pytest.raises(UndefinedCorrelationError):
-            reference_acc(ShSeries(8, pred[7]), ShSeries(8, truth[7]))
+            reference_acc(pred[7], truth[7])
         with pytest.raises(UndefinedCorrelationError, match="row 7"):
             acc(pred, truth, 8)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from deepshore import InvalidArgumentError, bonferroni, summarize_report, wilcoxon_signed_rank
+from deepshore import stats
 
 
 def enumerate_two_sided_p(differences):
@@ -30,6 +31,15 @@ def enumerate_two_sided_p(differences):
     return min(1.0, 2.0 * min(p_low, p_high))
 
 
+def normal_two_sided_p(a, b):
+    """The p of `wilcoxon_signed_rank`'s normal approximation, which it
+    takes only above 25 non-zero differences, at any sample size."""
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    d = d[d != 0.0]
+    ranks, tie_sizes = stats._signed_ranks(d)
+    return stats._normal_two_sided_p(ranks, tie_sizes, float(ranks[d > 0].sum()))
+
+
 class TestWilcoxon:
     def test_identical_inputs_give_p_one(self):
         a = np.arange(10.0)
@@ -49,27 +59,27 @@ class TestWilcoxon:
         n = int(rng.integers(5, 13))
         a = rng.standard_normal(n)
         b = a - rng.standard_normal(n) * 0.8
-        _, p = wilcoxon_signed_rank(a, b, method="exact")
+        _, p = wilcoxon_signed_rank(a, b)
         assert p == pytest.approx(enumerate_two_sided_p(a - b), abs=1e-10)
 
     def test_exact_matches_enumeration_with_ties(self):
         a = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0])
         b = np.array([2.0, 2.0, 3.0, 0.0, 3.0, 8.0, 4.0])  # tied |differences|
-        _, p = wilcoxon_signed_rank(a, b, method="exact")
+        _, p = wilcoxon_signed_rank(a, b)
         assert p == pytest.approx(enumerate_two_sided_p(a - b), abs=1e-10)
 
     def test_exact_matches_enumeration_n20(self):
         rng = np.random.default_rng(42)
         a = rng.standard_normal(20)
         b = a - (rng.standard_normal(20) * 0.5 + 0.3)
-        _, p = wilcoxon_signed_rank(a, b, method="exact")
+        _, p = wilcoxon_signed_rank(a, b)
         assert p == pytest.approx(enumerate_two_sided_p(a - b), rel=1e-9)
 
     def test_normal_approximation_close_at_n20(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal(20)
         b = a - (rng.standard_normal(20) * 0.5 + 0.25)
-        _, p_normal = wilcoxon_signed_rank(a, b, method="normal")
+        p_normal = normal_two_sided_p(a, b)
         p_exact = enumerate_two_sided_p(a - b)
         assert abs(p_normal - p_exact) / p_exact < 0.05
 
@@ -77,9 +87,8 @@ class TestWilcoxon:
         rng = np.random.default_rng(9)
         a = rng.standard_normal(200)
         b = a - rng.standard_normal(200) * 0.1
-        auto = wilcoxon_signed_rank(a, b)
-        forced = wilcoxon_signed_rank(a, b, method="normal")
-        assert auto == forced
+        _, p = wilcoxon_signed_rank(a, b)
+        assert p == normal_two_sided_p(a, b)
 
     def test_few_nonzero_differences_rejected(self):
         a = np.array([1.0, 2.0, 3.0, 4.0])
@@ -95,7 +104,7 @@ class TestWilcoxon:
         rng = np.random.default_rng(11)
         a = rng.standard_normal(40)
         b = a - (rng.standard_normal(40) * 0.4 + 0.1)
-        _, p = wilcoxon_signed_rank(a, b, method="normal")
+        _, p = wilcoxon_signed_rank(a, b)  # n > 25: the normal approximation
         ref = scipy_stats.wilcoxon(a, b, correction=True, mode="approx").pvalue
         assert p == pytest.approx(ref, rel=1e-6)
 
