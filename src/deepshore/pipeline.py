@@ -11,12 +11,20 @@ information leaks across the split; the same block discipline applies
 to the network folds. The regressor's predictions are mapped back to
 sphere functions, exponentiated out of log space, refit as spherical
 harmonics and scored with the angular correlation coefficient against
-the ground truth. The `train` command runs the same fold body on every
-row of a dataset, and `predict` fits a dataset's signals at the model's
-own scale.
+the ground truth. Every (subcase, fold) task runs on one BLAS thread,
+in forked worker processes when the process may use several threads,
+so a cross-validation report does not depend on the thread count. The
+`train` command runs the same fold body on every row of a dataset, and
+`predict` fits a dataset's signals at the model's own scale.
 """
 
+import collections
+import ctypes
 import functools
+import multiprocessing
+import os
+import signal
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -350,15 +358,18 @@ def run_subcase_experiment(cfg, dataset):
     over folds, per-fold diagnostics (including the frozen scale), and a
     block audit proving that no block crossed its fold boundary.
     """
-    optimize_scale = SUBCASES[cfg.subcase][0]
-    zeta0 = _start_zeta(cfg, dataset.samples)
+    return _cross_validate(dataset, [cfg])[0]
+
+
+# an evaluation fold: the rows and the blocks on each side of its split
+_Fold = collections.namedtuple("_Fold", "index train_rows test_rows train_blocks test_blocks")
+
+
+def _evaluation_folds(cfg, dataset):
+    """The `_Fold`s that cfg evaluates, none with a block on both sides."""
     splits = net.kfold_split(dataset, cfg.eval_folds, seed=cfg.train.seed)
     limit = len(splits) if cfg.max_folds is None else min(cfg.max_folds, len(splits))
-
-    all_acc = []
-    all_rows = []
     folds = []
-    audit_folds = []
     for fold_index, (train_rows, test_rows) in enumerate(splits[:limit]):
         train_blocks = np.unique(dataset.block_ids[train_rows])
         test_blocks = np.unique(dataset.block_ids[test_rows])
@@ -367,48 +378,122 @@ def run_subcase_experiment(cfg, dataset):
             raise InvalidArgumentError(
                 f"fold {fold_index}: blocks {overlap.tolist()} appear on both sides"
             )
+        folds.append(_Fold(fold_index, train_rows, test_rows, train_blocks, test_blocks))
+    return folds
 
+
+def _fold_task(task, dataset):
+    """One (subcase, fold) task on one BLAS thread: the fold body on the
+    training rows, then ACC on the test rows. Returns the test rows' ACC,
+    the scale, the loss history and the number of rows fitted."""
+    cfg, fold = task
+    with sh.one_blas_thread():
         regressor, history, n_fit_rows = train_regressor(
-            cfg, dataset, train_rows, _fold_seed(cfg.train.seed, fold_index))
+            cfg, dataset, fold.train_rows, _fold_seed(cfg.train.seed, fold.index))
         fold_acc = sh.acc(
             regressor.predict_fod_sh(
-                regressor.input_coeffs(dataset.signals[test_rows], dataset.samples)),
-            dataset.fod_coeffs[test_rows], dataset.sh_order,
+                regressor.input_coeffs(dataset.signals[fold.test_rows], dataset.samples)),
+            dataset.fod_coeffs[fold.test_rows], dataset.sh_order,
         )
+    return fold_acc, regressor.zeta, history, n_fit_rows
 
-        all_acc.append(fold_acc)
-        all_rows.append(test_rows)
+
+_PR_SET_PDEATHSIG = 1
+_worker_dataset = None  # in a worker process: the dataset its tasks read
+
+
+def _start_worker(parent, dataset):
+    """Keep the dataset that a forked worker inherited, and have Linux
+    SIGKILL the worker when `parent`, the process that forked it, ends."""
+    global _worker_dataset
+    _worker_dataset = dataset
+    try:
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    except (OSError, AttributeError):  # no prctl outside Linux
+        pass
+    if os.getppid() != parent:  # the parent ended before the request
+        os._exit(1)
+
+
+def _worker_task(task):
+    return _fold_task(task, _worker_dataset)
+
+
+def _run_tasks(dataset, tasks, workers):
+    """`_fold_task` of each task, in task order, on up to `workers` forked
+    worker processes. The first error in task order is raised, as a serial
+    run raises it. With one worker, or where processes cannot fork, the
+    tasks run in this process."""
+    workers = min(workers, len(tasks))
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [_fold_task(task, dataset) for task in tasks]
+    # forked, not spawned: the workers inherit the dataset and the FOD
+    # direction sets instead of importing, unpickling and regenerating
+    # them; the executor forks before it starts its own thread
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_start_worker,
+                             initargs=(os.getpid(), dataset)) as pool:
+        return list(pool.map(_worker_task, tasks))
+
+
+def _cross_validate(dataset, configs):
+    """The EvalReports of `configs` on `dataset`, one per config, in order.
+
+    The splits and the block audit run here; each (subcase, fold) task
+    trains, predicts and scores on one BLAS thread, in worker processes as
+    many as the BLAS threads this process would use. So the reports are
+    the same at any thread count.
+    """
+    names = [cfg.subcase for cfg in configs]
+    for name in names:
+        if names.count(name) > 1:
+            raise InvalidArgumentError(f"subcase {name!r} is named more than once")
+    if any(cfg.train.early_stop and not cfg.nested for cfg in configs):
+        raise InvalidArgumentError(
+            "--early-stop needs the inner validation fold that --flat drops")
+    plans = [(cfg, _start_zeta(cfg, dataset.samples), _evaluation_folds(cfg, dataset))
+             for cfg in configs]
+    tasks = [(cfg, fold) for cfg, _, folds in plans for fold in folds]
+    with sh.one_blas_thread() as threads:
+        for cfg in configs:
+            fod_directions(cfg)  # generated once, before any worker forks
+        results = iter(_run_tasks(dataset, tasks, threads))
+    return [_eval_report(cfg, zeta0, folds, [next(results) for _ in folds])
+            for cfg, zeta0, folds in plans]
+
+
+def _eval_report(cfg, zeta0, folds, results):
+    """The EvalReport of cfg from its folds and their `_fold_task` results."""
+    fold_rows = []
+    for fold, (fold_acc, zeta, history, n_fit_rows) in zip(folds, results):
         median, mean = stats.summarize_report(fold_acc)
-        folds.append({
-            "fold": fold_index,
-            "zeta": float(regressor.zeta),
+        fold_rows.append({
+            "fold": fold.index,
+            "zeta": float(zeta),
             "zeta0": float(zeta0),
-            "optimized": optimize_scale,
-            "n_train_blocks": int(train_blocks.size),
-            "n_test_blocks": int(test_blocks.size),
+            "optimized": SUBCASES[cfg.subcase][0],
+            "n_train_blocks": int(fold.train_blocks.size),
+            "n_test_blocks": int(fold.test_blocks.size),
             "n_fit_rows": n_fit_rows,
             "epochs_run": int(len(history)),
             "final_train_loss": float(history[-1]),
             "acc_median": median,
             "acc_mean": mean,
         })
-        audit_folds.append({
-            "fold": fold_index,
-            "train_blocks": [int(b) for b in train_blocks],
-            "test_blocks": [int(b) for b in test_blocks],
-        })
-
-    acc = np.concatenate(all_acc)
-    rows = np.concatenate(all_rows)
+    acc = np.concatenate([result[0] for result in results])
     median, mean = stats.summarize_report(acc)
     return EvalReport(
         subcase=cfg.subcase,
         acc=acc,
         median=median,
         mean=mean,
-        row_index=rows,
-        folds=folds,
-        audit={"leak_free": True, "folds": audit_folds},
+        row_index=np.concatenate([fold.test_rows for fold in folds]),
+        folds=fold_rows,
+        audit={"leak_free": True, "folds": [{
+            "fold": fold.index,
+            "train_blocks": [int(b) for b in fold.train_blocks],
+            "test_blocks": [int(b) for b in fold.test_blocks],
+        } for fold in folds]},
         config=cfg.to_dict(),
     )
 
@@ -417,12 +502,13 @@ def compare_subcases(dataset, configs):
     """Run several subcases and intercompare their ACC distributions.
 
     All configs should share seeds and fold settings so the per-voxel
-    ACC values pair up row by row. Pairwise two-sided signed-rank tests
-    are Bonferroni-corrected as one family.
+    ACC values pair up row by row; a subcase named twice is an error.
+    Pairwise two-sided signed-rank tests are Bonferroni-corrected as one
+    family.
     """
     if len(configs) == 0:
         raise InvalidArgumentError("need at least one pipeline config")
-    reports = [run_subcase_experiment(cfg, dataset) for cfg in configs]
+    reports = _cross_validate(dataset, configs)
 
     comparisons = []
     raw_p = []

@@ -205,11 +205,14 @@ def one_blas_thread():
     the products and the solves.
     The setting is the library's, not the calling thread's, so concurrent
     callers would share it. Without a loaded OpenBLAS this does nothing.
+    The block receives the count it replaced: the threads OpenBLAS
+    resolved from OPENBLAS_NUM_THREADS or OMP_NUM_THREADS and the CPUs,
+    or 1 without OpenBLAS or inside another pin.
     """
     builds = _openblas_builds()
     previous = [lib.openblas_set_num_threads_local(1) for lib in builds]
     try:
-        yield
+        yield max(previous, default=1)
     finally:
         for lib, count in zip(builds, previous):
             lib.openblas_set_num_threads_local(count)

@@ -2,9 +2,11 @@ import json
 import os
 import re
 import shlex
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -435,6 +437,87 @@ class TestCrossvalCommand:
                         "--eval-folds", "3", "--epochs", "2",
                         "--report", str(tmp_path / "r.json")])
         assert code == 2
+
+    @pytest.mark.parametrize("argv, named", [
+        # trained both copies and compared the subcase with itself
+        (["--subcase", "opt-shore-to-shore", "--subcase", "opt-shore-to-shore"],
+         ["opt-shore-to-shore"]),
+        # without the inner fold, training never stopped early
+        (["--flat", "--early-stop"], ["--flat", "--early-stop"]),
+        # 2 subcases x 2 folds: the error of a task run in a worker process
+        (["--subcase", "opt-shore-to-shore", "--subcase", "opt-shore-to-sh",
+          "--zeta0", "1e-300"], ["zeta=1e-300"]),
+    ], ids=["duplicate-subcase", "flat-early-stop", "worker-error"])
+    def test_rejected_run_is_data_error(self, tmp_path, capsys, argv, named):
+        data = make_phantom(tmp_path)
+        capsys.readouterr()
+        report = tmp_path / "r.json"
+        code = run_cli(["crossval", "--in", str(data), *argv, "--eval-folds", "3",
+                        "--max-folds", "2", "--epochs", "2", "--report", str(report)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in named) and "Traceback" not in err
+        assert not report.exists()
+
+    def test_returns_without_leaving_a_child_process(self, tmp_path):
+        data = make_phantom(tmp_path)
+        code = run_cli(["crossval", "--in", str(data), "--subcase", "opt-shore-to-shore",
+                        "--subcase", "unopt-shore-to-shore", "--eval-folds", "3",
+                        "--max-folds", "2", "--k-folds", "3", "--epochs", "2"])
+        assert code == 0
+        assert _live_children(os.getpid()) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs /proc and two CPUs")
+    def test_killed_run_leaves_no_worker(self, tmp_path):
+        data = make_phantom(tmp_path)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "deepshore.cli", "crossval", "--in", str(data),
+             "--subcase", "opt-shore-to-shore", "--subcase", "unopt-shore-to-shore",
+             "--eval-folds", "3", "--max-folds", "2", "--epochs", "100000"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            workers = []
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = _live_children(proc.pid)
+            assert len(workers) == 2
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+        deadline = time.monotonic() + 5
+        while any(map(_is_live, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if _is_live(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert left == []
+
+
+def _process_state(pid):
+    """(state letter, parent pid) of a process from /proc, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def _is_live(pid):
+    state = _process_state(pid)
+    return state is not None and state[0] != "Z"
+
+
+def _live_children(pid):
+    """The pids of the processes that `pid` started and that have not ended."""
+    pids = (int(entry) for entry in os.listdir("/proc") if entry.isdigit())
+    return [child for child in pids
+            if _is_live(child) and _process_state(child)[1] == pid]
 
 
 @pytest.mark.parametrize("command, key, value", [

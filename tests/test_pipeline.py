@@ -1,8 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from deepshore import (
     InvalidArgumentError,
+    OptimizationFailureError,
     PipelineConfig,
     TrainConfig,
     compare_subcases,
@@ -148,3 +151,28 @@ class TestCompare:
     def test_empty_config_list_rejected(self, tiny_dataset):
         with pytest.raises(InvalidArgumentError):
             compare_subcases(tiny_dataset, [])
+
+
+class TestWorkers:
+    def _tasks(self, tiny_dataset, *configs):
+        return [(cfg, fold)
+                for cfg in configs for fold in pipeline._evaluation_folds(cfg, tiny_dataset)]
+
+    def test_forked_workers_give_the_in_process_results(self, tiny_dataset):
+        tasks = self._tasks(tiny_dataset, tiny_config(), tiny_config("opt-shore-to-sh"))
+        forked = pipeline._run_tasks(tiny_dataset, tasks, 2)
+        serial = pipeline._run_tasks(tiny_dataset, tasks, 1)
+        for a, b in zip(forked, serial, strict=True):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+    def test_first_error_in_task_order_is_raised(self, tiny_dataset):
+        tasks = self._tasks(tiny_dataset, tiny_config("unopt-shore-to-shore", zeta0=700.0),
+                            tiny_config(zeta0=1e-300), tiny_config("opt-shore-to-sh", zeta0=1e-250))
+        with pytest.raises(OptimizationFailureError, match="zeta=1e-300"):
+            pipeline._run_tasks(tiny_dataset, tasks, 2)
+
+    def test_optimization_failure_keeps_its_fields_through_pickle(self):
+        # a worker's error reaches the parent pickled
+        error = pickle.loads(pickle.dumps(
+            OptimizationFailureError("objective not finite", zeta=812.5, objective=0.25)))
+        assert (str(error), error.zeta, error.objective) == ("objective not finite", 812.5, 0.25)
