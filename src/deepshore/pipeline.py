@@ -21,10 +21,8 @@ so a cross-validation report does not depend on the thread count. The
 import collections
 import ctypes
 import functools
-import multiprocessing
 import os
 import signal
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -407,10 +405,9 @@ def _start_worker(parent, dataset):
     SIGKILL the worker when `parent`, the process that forked it, ends."""
     global _worker_dataset
     _worker_dataset = dataset
-    try:
-        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
-    except (OSError, AttributeError):  # no prctl outside Linux
-        pass
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+    prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     if os.getppid() != parent:  # the parent ended before the request
         os._exit(1)
 
@@ -422,11 +419,16 @@ def _worker_task(task):
 def _run_tasks(dataset, tasks, workers):
     """`_fold_task` of each task, in task order, on up to `workers` forked
     worker processes. The first error in task order is raised, as a serial
-    run raises it. With one worker, or where processes cannot fork, the
-    tasks run in this process."""
+    run raises it. With one worker the tasks run in this process, as they
+    do wherever no OpenBLAS build was found in /proc (`one_blas_thread`
+    then yields 1), so workers fork only on Linux."""
     workers = min(workers, len(tasks))
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if workers <= 1:
         return [_fold_task(task, dataset) for task in tasks]
+    # imported here: they cost every other command 2 MB and 15 ms at start
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # forked, not spawned: the workers inherit the dataset and the FOD
     # direction sets instead of importing, unpickling and regenerating
     # them; the executor forks before it starts its own thread

@@ -477,7 +477,7 @@ class TestCrossvalCommand:
         proc = subprocess.Popen(
             [sys.executable, "-m", "deepshore.cli", "crossval", "--in", str(data),
              "--subcase", "opt-shore-to-shore", "--subcase", "unopt-shore-to-shore",
-             "--eval-folds", "3", "--max-folds", "2", "--epochs", "100000"],
+             "--eval-folds", "3", "--max-folds", "2", "--k-folds", "3", "--epochs", "100000"],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         try:
             workers = []
