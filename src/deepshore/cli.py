@@ -22,10 +22,11 @@ products and its Cholesky solve, and the search's QR factorization of
 the signals and its products run on one BLAS thread, because a product
 split over threads can round differently. They run in numpy's OpenBLAS
 build, and only `phantom` imports scipy, for the Watson normalization.
-`crossval` reports do not depend on it either: each (subcase, fold)
-task trains, predicts and scores on one BLAS thread, in as many forked
-worker processes as the BLAS threads the process would use, so
-OPENBLAS_NUM_THREADS=1 runs the tasks one after another in the process.
+`crossval` reports do not depend on the thread count either: each
+(subcase, fold) task trains, predicts and scores on one BLAS thread, in
+as many forked worker processes as the BLAS threads the process would
+use, so OPENBLAS_NUM_THREADS=1 runs the tasks one after another in the
+process.
 The BLAS library's own environment variables, such as
 OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before the process starts,
 govern the rest: the network's training and forward passes in `train`
