@@ -16,21 +16,16 @@ resolved configuration and seeds so runs can be reproduced. A JSON
 config file can pre-set any flag; explicit flags win over the file.
 One file may serve every command, so a key of another command's flag is
 ignored, but a key that no command takes is a usage error.
-The outputs of the scale (zeta) search and of the SHORE and SH fits do
-not depend on the BLAS thread count: every SHORE and SH solve, its
-products and its Cholesky solve, and the search's QR factorization of
-the signals and its products run on one BLAS thread, because a product
-split over threads can round differently. They run in numpy's OpenBLAS
-build, and only `phantom` imports scipy, for the Watson normalization.
-`crossval` reports do not depend on the thread count either: each
-(subcase, fold) task trains, predicts and scores on one BLAS thread, in
-as many forked worker processes as the BLAS threads the process would
-use, so OPENBLAS_NUM_THREADS=1 runs the tasks one after another in the
-process.
-The BLAS library's own environment variables, such as
-OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before the process starts,
-govern the rest: the network's training and forward passes in `train`
-and `predict`, and the phantom generator.
+No output depends on the BLAS thread count: every SHORE and SH solve,
+the scale (zeta) search, and the network's training and forward passes
+run on one BLAS thread, because a product split over threads can round
+differently. They run in numpy's OpenBLAS build, and only `phantom`
+imports scipy, for the Watson normalization. `crossval` runs its
+(subcase, fold) tasks in as many forked worker processes as the BLAS
+threads the process would use, set by the BLAS library's own environment
+variables (OPENBLAS_NUM_THREADS or OMP_NUM_THREADS) before the process
+starts, so OPENBLAS_NUM_THREADS=1 runs the tasks one after another in
+the process.
 """
 
 import argparse
@@ -374,8 +369,9 @@ def _cmd_train(args, file_cfg):
     cfg = _pipeline_config(args, file_cfg, {"subcase": "subcase"})
     # only early stopping reads a validation fold
     cfg = dataclasses.replace(cfg, nested=cfg.train.early_stop)
-    regressor, history, n_fit_rows = pipeline.train_regressor(
-        cfg, dataset, np.arange(len(dataset)), cfg.train.seed)
+    with sh.one_blas_thread():
+        regressor, history, n_fit_rows = pipeline.train_regressor(
+            cfg, dataset, np.arange(len(dataset)), cfg.train.seed)
     io.write_model(args.out, regressor)
     print(f"trained {cfg.subcase} at zeta={regressor.zeta:.6g} on {n_fit_rows} rows: "
           f"{len(history)} epochs, final loss {history[-1]:.6e}")
@@ -396,7 +392,8 @@ def _cmd_train(args, file_cfg):
 def _cmd_predict(args, file_cfg):
     regressor = io.read_model(_require_input(args.model))
     dataset = io.read_dataset(_require_input(args.infile))
-    fods = regressor.predict_fod_sh(regressor.input_coeffs(dataset.signals, dataset.samples))
+    with sh.one_blas_thread():
+        fods = regressor.predict_fod_sh(regressor.input_coeffs(dataset.signals, dataset.samples))
     io.write_coeffs(args.out, fods, {
         "representation": "sh",
         "sh_order": regressor.out_degree,

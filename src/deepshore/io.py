@@ -264,14 +264,17 @@ def read_model(path):
         raise ContainerFormatError(f"expected a model container, got {box.kind!r}")
     input_dim, output_dim = (_field(box.metadata, key, path, "meta", _integral)
                              for key in ("input_dim", "output_dim"))
-    seg = {name: values.astype(float) for name, values in box.segments.items()}
+    seg = box.segments
     regressor = FodRegressor.from_description(
         _field(box.metadata, "regressor", path, "meta", dict), path)
     try:
+        # the network's float32 payload is its parameters, bit for bit;
+        # the standardizers work in float64
         weights = [seg[f"w{i + 1}"] for i in range(6)]
         biases = [seg[f"b{i + 1}"] for i in range(6)]
         regressor.in_norm, regressor.out_norm = (
-            _Standardizer.frozen(seg[f"{side}_mean"], seg[f"{side}_scale"])
+            _Standardizer.frozen(seg[f"{side}_mean"].astype(float),
+                                 seg[f"{side}_scale"].astype(float))
             for side in ("in", "out")
         )
     except KeyError as exc:

@@ -6,6 +6,11 @@ activation into the fourth layer's pre-activation, which is why those two
 widths match. Trained with mini-batch RMSProp on mean squared error;
 everything is seeded and deterministic. Implemented directly in numpy so
 the analytic gradients can be audited against finite differences.
+
+The network stores, trains and runs in float32 (`DTYPE`), the precision
+its model container stores, so a trained network survives the container
+bit for bit. `gradient_check`, the finite-difference audit, runs the same
+code on a float64 copy of the model.
 """
 
 from dataclasses import dataclass
@@ -14,6 +19,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
+DTYPE = np.float32
 HIDDEN_WIDTHS = (400, 45, 200, 45, 200)
 # which hidden activation feeds the skip, and which pre-activation receives it
 SKIP_FROM = 2
@@ -69,7 +75,7 @@ class MlpModel:
     """Weight matrices and bias vectors for the fixed architecture.
 
     Weights are stored (fan_in, fan_out) so a batch maps through
-    ``batch @ W + b``.
+    ``batch @ W + b``; the constructor casts them to `DTYPE`.
     """
 
     def __init__(self, input_dim, output_dim, weights, biases, seed=None):
@@ -83,9 +89,14 @@ class MlpModel:
                 )
         self.input_dim = input_dim
         self.output_dim = output_dim
-        self.weights = [np.array(w, dtype=float) for w in weights]
-        self.biases = [np.array(b, dtype=float) for b in biases]
+        self.weights = [np.array(w, dtype=DTYPE) for w in weights]
+        self.biases = [np.array(b, dtype=DTYPE) for b in biases]
         self.seed = seed
+
+    @property
+    def dtype(self):
+        """The precision of the parameters, in which batches are run."""
+        return self.weights[0].dtype
 
     @property
     def layer_dims(self):
@@ -108,7 +119,8 @@ class MlpModel:
 
 
 def build_model(input_dim, output_dim, seed):
-    """Seeded Gaussian initialization, std sqrt(2 / (fan_in + fan_out))."""
+    """Seeded Gaussian initialization, std sqrt(2 / (fan_in + fan_out)),
+    drawn in float64 and cast to `DTYPE`."""
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -142,7 +154,8 @@ class _Workspace:
 
     One workspace serves every batch of a `train` call, or every
     `forward` call over the same rows; a shorter batch uses the leading
-    rows. Each buffer holds one live value at a time:
+    rows. The buffers have the model's dtype. Each buffer holds one live
+    value at a time:
 
     - `scratch` (widest layer): each forward pre-activation, from its
       matmul until elu reads it. In the backward pass up[4], then up[2],
@@ -164,18 +177,19 @@ class _Workspace:
 
     def __init__(self, model, rows, backward=True):
         widest = max(HIDDEN_WIDTHS)
-        self.scratch = np.empty(rows * widest)
-        self.out = np.empty(rows * model.output_dim)
+        dtype = model.dtype
+        self.scratch = np.empty(rows * widest, dtype)
+        self.out = np.empty(rows * model.output_dim, dtype)
         if backward:
-            self.act = [np.empty(rows * width) for width in HIDDEN_WIDTHS]
-            self.up = [self.scratch if l % 2 == 0 else np.empty(rows * width)
+            self.act = [np.empty(rows * width, dtype) for width in HIDDEN_WIDTHS]
+            self.up = [self.scratch if l % 2 == 0 else np.empty(rows * width, dtype)
                        for l, width in enumerate(HIDDEN_WIDTHS)]
-            self.delta_out = np.empty(rows * model.output_dim)
+            self.delta_out = np.empty(rows * model.output_dim, dtype)
             self.grad_w = [np.empty_like(w) for w in model.weights]
             self.grad_b = [np.empty_like(b) for b in model.biases]
         else:
-            shared = np.empty(rows * widest)
-            skip = np.empty(rows * HIDDEN_WIDTHS[SKIP_FROM - 1])
+            shared = np.empty(rows * widest, dtype)
+            skip = np.empty(rows * HIDDEN_WIDTHS[SKIP_FROM - 1], dtype)
             self.act = [skip if l + 1 == SKIP_FROM else shared
                         for l in range(len(HIDDEN_WIDTHS))]
 
@@ -213,14 +227,15 @@ def _forward_pass(model, batch, ws):
 
 
 def forward(model, batch, ws=None):
-    """Map a batch (rows = samples) through the network.
+    """Map a batch (rows = samples), cast to the model's dtype, through
+    the network.
 
     `ws` is a forward-only workspace (`_Workspace(model, rows,
     backward=False)`) to reuse across calls; the result is then a view of
     its buffer, overwritten by the next call. Without one, a workspace
     sized to the batch is built.
     """
-    batch = np.asarray(batch, dtype=float)
+    batch = np.asarray(batch, dtype=model.dtype)
     if batch.ndim != 2 or batch.shape[1] != model.input_dim:
         raise InvalidArgumentError(
             f"batch width {batch.shape} does not match input_dim {model.input_dim}"
@@ -237,7 +252,8 @@ def mse(predictions, targets):
 
 
 def _gradients(model, batch, targets, ws=None):
-    """Loss and analytic parameter gradients of the batch MSE.
+    """Loss and analytic parameter gradients of the batch MSE; the batch
+    and targets have the model's dtype.
 
     The gradients are the workspace's buffers: the next call with the
     same workspace overwrites them. Without a workspace, one sized to
@@ -327,12 +343,13 @@ def train(model, data, cfg, validation=None):
     """Mini-batch RMSProp on mean squared error.
 
     Returns a trained copy of the model and the per-epoch mean training
-    loss. Shuffling is driven by cfg.seed, so identical (model, data,
-    cfg) reproduce identical histories. When `validation` is given as an
-    (inputs, targets) pair and cfg.early_stop is set, training stops
-    after cfg.patience epochs without validation improvement and the
-    best-validation weights are restored; without cfg.early_stop the
-    validation pair is not used.
+    loss. The rows, and the validation pair when it is used, are cast
+    once to the model's dtype. Shuffling is driven by cfg.seed, so
+    identical (model, data, cfg) reproduce identical histories. When
+    `validation` is given as an (inputs, targets) pair and cfg.early_stop
+    is set, training stops after cfg.patience epochs without validation
+    improvement and the best-validation weights are restored; without
+    cfg.early_stop the validation pair is not used.
     """
     if not isinstance(data, VoxelDataset):
         raise InvalidArgumentError("data must be a VoxelDataset")
@@ -343,10 +360,11 @@ def train(model, data, cfg, validation=None):
         )
 
     model = model.copy()
+    dtype = model.dtype
     params = model.weights + model.biases
     square_avg = [np.zeros_like(p) for p in params]
     step = [np.zeros_like(p) for p in params]
-    scratch = np.empty(max(p.size for p in params))
+    scratch = np.empty(max(p.size for p in params), dtype)
     scratches = [scratch[:p.size].reshape(p.shape) for p in params]
     rng = np.random.default_rng(cfg.seed)
     n_rows = len(data)
@@ -354,10 +372,12 @@ def train(model, data, cfg, validation=None):
     ws = _Workspace(model, rows_max)
     val_ws = None
     if validation is not None and cfg.early_stop:
-        val_inputs, val_targets = validation
+        val_inputs, val_targets = (np.asarray(v, dtype=dtype) for v in validation)
         val_ws = _Workspace(model, len(val_inputs), backward=False)
-    inputs = np.empty((rows_max, model.input_dim))
-    targets = np.empty((rows_max, model.output_dim))
+    data_inputs = data.inputs.astype(dtype)
+    data_targets = data.targets.astype(dtype)
+    inputs = np.empty((rows_max, model.input_dim), dtype)
+    targets = np.empty((rows_max, model.output_dim), dtype)
     history = []
 
     best_val = np.inf
@@ -371,8 +391,8 @@ def train(model, data, cfg, validation=None):
             rows = order[start:start + cfg.batch_size]
             # rows come from a permutation, so "clip" never clips; the
             # default "raise" mode would copy through a temporary
-            batch = np.take(data.inputs, rows, axis=0, out=inputs[:rows.size], mode="clip")
-            batch_targets = np.take(data.targets, rows, axis=0,
+            batch = np.take(data_inputs, rows, axis=0, out=inputs[:rows.size], mode="clip")
+            batch_targets = np.take(data_targets, rows, axis=0,
                                     out=targets[:rows.size], mode="clip")
             loss, grad_w, grad_b = _gradients(model, batch, batch_targets, ws)
             epoch_sse += loss * rows.size
@@ -402,10 +422,15 @@ def gradient_check(model, batch, targets, *, n_samples=200, step=1e-5, seed=0,
                    arrays=None):
     """Max relative error of analytic vs central-difference gradients.
 
-    Samples parameter coordinates at random (at least `n_samples`, or
-    every coordinate of the arrays selected by `arrays`, e.g. ("w2",),
-    when that is smaller). Intended for small batches.
+    Checks a float64 copy of the model, on the batch and targets in
+    float64, and leaves the model itself untouched. Samples parameter
+    coordinates at random (at least `n_samples`, or every coordinate of
+    the arrays selected by `arrays`, e.g. ("w2",), when that is smaller).
+    Intended for small batches.
     """
+    model = model.copy()
+    model.weights = [w.astype(float) for w in model.weights]
+    model.biases = [b.astype(float) for b in model.biases]
     batch = np.asarray(batch, dtype=float)
     targets = np.asarray(targets, dtype=float)
     _, grad_w, grad_b = _gradients(model, batch, targets)

@@ -198,9 +198,10 @@ def one_blas_thread():
     """Run the block on one BLAS thread, then restore the caller's count.
 
     OpenBLAS may split a product over threads in an order that changes
-    its last bits, so every SHORE/SH solve (`_solve_regularized`) and
-    the scale search's QR and products run on one thread: the results
-    then do not depend on the thread count. The pin nests and covers
+    its last bits, so every SHORE/SH solve (`_solve_regularized`), the
+    scale search's QR and products, and the network's training and
+    forward passes run on one thread: the results then do not depend on
+    the thread count. The pin nests and covers
     every loaded build, which in a command is numpy's alone: it serves
     the products and the solves.
     The setting is the library's, not the calling thread's, so concurrent

@@ -15,14 +15,15 @@ from deepshore import (
     train,
 )
 from deepshore import net
-from deepshore.net import HIDDEN_WIDTHS, SKIP_FROM, SKIP_INTO, _Workspace, _forward_pass, elu
+from deepshore.net import (
+    DTYPE, HIDDEN_WIDTHS, SKIP_FROM, SKIP_INTO, _Workspace, _forward_pass, elu)
 
-# hidden-width doubles per batch row: a train step keeps the five
+# hidden-width elements per batch row: a train step keeps the five
 # activations (890), one widest-width buffer (400) and two skip-width
 # gradient buffers (45 + 45); `forward` one widest-width activation buffer,
 # the skip source and the widest-width pre-activation scratch
-TRAIN_STEP_DOUBLES_PER_ROW = 1380
-FORWARD_DOUBLES_PER_ROW = 845
+TRAIN_STEP_ELEMENTS_PER_ROW = 1380
+FORWARD_ELEMENTS_PER_ROW = 845
 
 
 def reference_elu(x):
@@ -85,7 +86,8 @@ def reference_train(model, data, cfg):
         for start in range(0, n_rows, cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
             loss, grad_w, grad_b = reference_gradients(
-                params[:6], params[6:], data.inputs[rows], data.targets[rows])
+                params[:6], params[6:], data.inputs[rows].astype(DTYPE),
+                data.targets[rows].astype(DTYPE))
             epoch_sse += loss * rows.size
             for i, grad in enumerate(grad_w + grad_b):
                 square_avg[i] = cfg.decay * square_avg[i] + (1 - cfg.decay) * grad ** 2
@@ -96,8 +98,8 @@ def reference_train(model, data, cfg):
 
 
 def same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def expected_parameter_count(input_dim, output_dim):
@@ -106,8 +108,10 @@ def expected_parameter_count(input_dim, output_dim):
 
 
 def small_batch(seed, rows, input_dim, output_dim):
+    """Inputs and targets in the network's dtype."""
     rng = np.random.default_rng(seed)
-    return rng.standard_normal((rows, input_dim)), rng.standard_normal((rows, output_dim))
+    return (rng.standard_normal((rows, input_dim)).astype(DTYPE),
+            rng.standard_normal((rows, output_dim)).astype(DTYPE))
 
 
 class TestBuildModel:
@@ -188,6 +192,13 @@ class TestForward:
         model = build_model(50, 45, seed=4)
         assert forward(model, np.zeros((1, 50))).shape == (1, 45)
 
+    def test_float64_batch_runs_in_float32(self):
+        model = build_model(12, 7, seed=5)
+        x, _ = small_batch(38, 6, 12, 7)
+        out = forward(model, x.astype(np.float64))
+        assert out.dtype == np.float32
+        assert same_bits(out, forward(model, x))
+
 
 class TestGradientCheck:
     @pytest.mark.parametrize("seed", range(20))
@@ -215,6 +226,15 @@ class TestGradientCheck:
         x, y = small_batch(11, 4, 12, 5)
         assert gradient_check(model, x, y, n_samples=250, seed=1, arrays=("w2", "b2")) < 1e-4
 
+    def test_float32_model_checked_in_float64_and_left_untouched(self):
+        model = build_model(13, 7, seed=21)
+        x, y = small_batch(121, 4, 13, 7)
+        before = [p.copy() for p in model.weights + model.biases]
+        assert gradient_check(model, x, y, n_samples=120, seed=21) < 1e-4
+        for got, want in zip(model.weights + model.biases, before):
+            assert want.dtype == np.float32
+            assert same_bits(got, want)
+
     def test_unknown_array_rejected(self):
         model = build_model(12, 5, seed=9)
         x, y = small_batch(11, 4, 12, 5)
@@ -230,6 +250,13 @@ class TestTrain:
         trained, history = train(model, data, TrainConfig(epochs=50, batch_size=20, seed=1))
         assert history.shape == (50,)
         assert history[-1] < history[0]
+
+    def test_trained_parameters_are_float32(self):
+        # float64 rows: the dataset is cast, and the parameters stay float32
+        x, y = small_batch(39, 20, 10, 8)
+        data = VoxelDataset(x.astype(np.float64), y.astype(np.float64), np.arange(20))
+        trained, _ = train(build_model(10, 8, seed=0), data, TrainConfig(epochs=2, batch_size=8))
+        assert {p.dtype for p in trained.weights + trained.biases} == {np.dtype(np.float32)}
 
     def test_single_epoch_history(self):
         x, y = small_batch(22, 10, 10, 8)
@@ -333,9 +360,9 @@ class TestTrain:
             assert same_bits(forward(model, x), train_out)
             assert same_bits(forward(model, x, ws), train_out)
 
-    @pytest.mark.parametrize("step, doubles", [
-        ("train", TRAIN_STEP_DOUBLES_PER_ROW), ("forward", FORWARD_DOUBLES_PER_ROW)])
-    def test_doubles_allocated_per_row(self, step, doubles):
+    @pytest.mark.parametrize("step, elements", [
+        ("train", TRAIN_STEP_ELEMENTS_PER_ROW), ("forward", FORWARD_ELEMENTS_PER_ROW)])
+    def test_elements_allocated_per_row(self, step, elements):
         # the peak allocation of one call grows with the batch by exactly the
         # hidden-width buffers plus the output-width ones (out, and for a
         # train step the output delta); per-layer buffers would show here
@@ -354,8 +381,8 @@ class TestTrain:
                 peaks.append(tracemalloc.get_traced_memory()[1] - base)
             finally:
                 tracemalloc.stop()
-        per_row = (peaks[1] - peaks[0]) / 400 / 8
-        assert round(per_row) == doubles + out_buffers * model.output_dim
+        per_row = (peaks[1] - peaks[0]) / 400 / np.dtype(DTYPE).itemsize
+        assert round(per_row) == elements + out_buffers * model.output_dim
 
     def test_validation_unused_without_early_stop(self, monkeypatch):
         x, y = small_batch(27, 50, 10, 8)
